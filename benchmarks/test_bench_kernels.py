@@ -1,22 +1,19 @@
-"""Microbenchmarks of the incremental/frontier kernels (PR 2 tentpole).
+"""Microbenchmarks of the neighbor-query kernels.
 
 Shares its workload builders with the ``repro bench`` CLI harness
 (:mod:`repro.bench`), so the pytest-benchmark view and the JSON
-perf-trajectory (``BENCH_PR2.json``) measure the same thing.  Compare the
-groups: ``grid_index`` (counting-sort rebuild vs incremental splice),
-``batch_any_within`` (PR 1 strategies vs incremental + frontier-pruned
-defaults).
+perf-trajectory measure the same thing.  Compare the groups:
+``grid_index`` (counting-sort build per round), ``batch_infection_kernel``
+(cell cover vs the tiled engine).
 """
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.bench import batch_infection_workload, drifting_points
 from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
-from repro.geometry.neighbors import BatchNeighborQuery
+from repro.geometry.neighbors import BatchNeighborQuery, available_backends
 
 N = 5_000
 SIDE = math.sqrt(N)
@@ -28,9 +25,8 @@ def snapshots():
     return drifting_points(N, SIDE, step=0.15, steps=8, seed=3)
 
 
-@pytest.mark.parametrize("strategy", ["rebuild", "update"])
-def test_bench_grid_index(benchmark, snapshots, strategy):
-    """Re-indexing a drifting swarm: full build vs incremental splice."""
+def test_bench_grid_index(benchmark, snapshots):
+    """Re-indexing a drifting swarm: one counting-sort build per round."""
 
     def rebuild():
         index = GridIndex(SIDE, CELL)
@@ -38,50 +34,19 @@ def test_bench_grid_index(benchmark, snapshots, strategy):
             index.build(snapshot)
         return index
 
-    def update():
-        index = IncrementalGridIndex(SIDE, CELL)
-        for snapshot in snapshots:
-            index.update(snapshot)
-        return index
-
-    index = benchmark(rebuild if strategy == "rebuild" else update)
+    index = benchmark(rebuild)
     assert index.size == N
 
 
-@pytest.mark.parametrize("strategy", ["rebuild", "update"])
-def test_bench_batch_occupancy(benchmark, strategy):
-    """Per-replica occupancy counts: full bincount vs +/-1 delta repair."""
-    batch, n = 8, 1_000
-    side = math.sqrt(n)
-    base = drifting_points(n, side, step=0.1, steps=8, seed=5)
-    snapshots = [np.broadcast_to(s, (batch, n, 2)).copy() for s in base]
-
-    def rebuild():
-        probe = IncrementalBatchOccupancy(side, batch, 0.9)
-        mm = probe.m * probe.m
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * mm
-        for snapshot in snapshots:
-            gid = probe._cells_of(snapshot) + offsets
-            counts = np.bincount(gid.reshape(-1), minlength=batch * mm)
-        return counts
-
-    def update():
-        occupancy = IncrementalBatchOccupancy(side, batch, 0.9, track_counts=True)
-        for snapshot in snapshots:
-            occupancy.update(snapshot)
-        return occupancy.counts
-
-    benchmark(rebuild if strategy == "rebuild" else update)
-
-
-@pytest.mark.parametrize("strategy", ["legacy", "new"])
+@pytest.mark.parametrize("strategy", ["cells", "tiled"])
 def test_bench_batch_infection_kernel(benchmark, strategy):
-    """The flooding infection test at a mid-flood state, PR 1 strategies
-    (rebuild + unpruned) vs the incremental + frontier-pruned defaults."""
+    """The flooding infection test at a mid-flood state: cell cover vs the
+    tiled engine."""
     batch, n = 8, 2_000
     side, radius = math.sqrt(n), 2.4
     positions, informed, uninformed = batch_infection_workload(batch, n, side)
-    options = {} if strategy == "new" else {"incremental": False, "prune": False}
-    query = BatchNeighborQuery(side, batch, **options)
+    if strategy == "tiled":
+        strategy = "kdtree" if "kdtree" in available_backends() else "grid"
+    query = BatchNeighborQuery(side, batch, backend=strategy)
     hits = benchmark(query.any_within, positions, informed, uninformed, radius)
     assert hits.shape == (batch, n)

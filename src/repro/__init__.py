@@ -60,13 +60,11 @@ from repro.simulation import (
     SweepPoint,
     SweepPointResult,
     run_flooding,
-    run_flooding_batch,
     run_protocol_batch,
     run_sweep,
     run_trials,
     standard_config,
     summarize,
-    sweep,
 )
 
 __version__ = "1.0.0"
@@ -95,14 +93,12 @@ __all__ = [
     "BatchSimulation",
     "standard_config",
     "run_flooding",
-    "run_flooding_batch",
     "run_protocol_batch",
     "PROTOCOL_REGISTRY",
     "BATCH_PROTOCOL_REGISTRY",
     "MODEL_REGISTRY",
     "BATCH_MOBILITY_REGISTRY",
     "run_trials",
-    "sweep",
     "SweepPlan",
     "SweepPoint",
     "SweepPointResult",

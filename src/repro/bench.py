@@ -14,10 +14,8 @@ with a stable schema:
     micro-benchmarks ``[{name, params, seconds, per_call, repeats}]`` —
     per-kernel best-of-``repeats`` wall time.
 ``end_to_end``
-    ``run_trials`` wall times per execution strategy, plus ``speedups``
-    ratios (``new`` = incremental + pruned defaults, ``legacy`` = the
-    PR 1 strategies via ``neighbor_options={'incremental': False,
-    'prune': False}``, ``scalar`` = the reference engine).
+    ``run_trials`` wall times per execution engine (``batch`` and the
+    ``scalar`` reference), plus ``speedups`` ratios.
 ``parity``
     cross-strategy result equality.  **Timing never fails a run; parity
     errors do** (exit code 1) — CI treats the benchmark as a smoke test,
@@ -51,7 +49,6 @@ import time
 
 import numpy as np
 
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.grid import GridIndex
 from repro.geometry.neighbors import BatchNeighborQuery, available_backends
 from repro.simulation.config import FloodingConfig, standard_config
@@ -73,10 +70,6 @@ SCHEMA_VERSION = 1
 #: ``benchmarks/test_bench_trials.py`` under ``REPRO_FULL_BENCH=1``).
 CANONICAL = {"n": 2000, "trials": 32, "radius_factor": 1.0, "seed": 42}
 SMOKE = {"n": 400, "trials": 8, "radius_factor": 1.0, "seed": 42}
-
-#: neighbor_options replaying the PR 1 strategies on the current code:
-#: rebuild every spatial index per round, never prune sources.
-LEGACY_OPTIONS = {"incremental": False, "prune": False}
 
 #: The protocols acceptance workload: the ``protocol_baselines`` quick
 #: scale exactly (n=2000, every registered baseline protocol, identical
@@ -159,8 +152,6 @@ KERNEL_TIER_PAIR = {"batch": 16, "n": 2_000, "radius": 2.8}
 KERNEL_TIER_PAIR_SMOKE = {"batch": 4, "n": 400, "radius": 2.8}
 KERNEL_TIER_LEGS = {"total": 20_000, "iterations": 5}
 KERNEL_TIER_LEGS_SMOKE = {"total": 2_000, "iterations": 3}
-KERNEL_TIER_SPLICE = {"n": 20_000, "steps": 8}
-KERNEL_TIER_SPLICE_SMOKE = {"n": 2_000, "steps": 4}
 KERNEL_TIER_UNION = {"replicas": 8, "n": 2_000, "rounds": 6}
 KERNEL_TIER_UNION_SMOKE = {"replicas": 3, "n": 400, "rounds": 3}
 KERNEL_TIER_ZONES = {"batch": 16, "n": 2_000, "steps": 10}
@@ -217,109 +208,45 @@ def _interleaved_best(contestants: dict, repeats: int) -> dict:
 # Kernel benchmarks
 # ----------------------------------------------------------------------
 def _bench_grid_index(repeats: int, smoke: bool) -> list:
-    """Full counting-sort build vs incremental splice at two churn levels."""
+    """Counting-sort grid build over a drifting swarm, one build per round."""
     n = 2_000 if smoke else 20_000
     side = math.sqrt(n)
     cell = 2.0
-    results = []
-    for churn, step in (("low", 0.1), ("canonical", 0.7)):
-        snapshots = drifting_points(n, side, step, steps=10, seed=3)
+    snapshots = drifting_points(n, side, 0.7, steps=10, seed=3)
 
-        def rebuild():
-            index = GridIndex(side, cell)
-            for snap in snapshots:
-                index.build(snap)
-
-        def update():
-            index = IncrementalGridIndex(side, cell, rebuild_fraction=1.0)
-            for snap in snapshots:
-                index.update(snap)
-
-        def auto():
-            index = IncrementalGridIndex(side, cell)
-            for snap in snapshots:
-                index.update(snap)
-
-        best = _interleaved_best(
-            {"rebuild": rebuild, "update": update, "auto": auto}, repeats
-        )
-        index = IncrementalGridIndex(side, cell)
+    def build():
+        index = GridIndex(side, cell)
         for snap in snapshots:
-            index.update(snap)
-        # Per-round bucket churn of the splice path: exclude the initial
-        # from-scratch build, which counts all n points as moved.
-        moved_fraction = (index.n_moved - n) / ((index.n_updates - 1) * n)
-        for name, seconds in best.items():
-            results.append(
-                {
-                    "name": f"grid_index_{name}",
-                    "params": {
-                        "n": n,
-                        "cell": cell,
-                        "churn": churn,
-                        "moved_fraction": round(moved_fraction, 4),
-                    },
-                    "seconds": seconds,
-                    "per_call": seconds / len(snapshots),
-                    "repeats": repeats,
-                }
-            )
-    return results
+            index.build(snap)
 
-
-def _bench_batch_occupancy(repeats: int, smoke: bool) -> list:
-    """Counted occupancy refresh: full bincount vs +/-1 delta repair."""
-    batch, n = (4, 500) if smoke else (16, 2_000)
-    side = math.sqrt(n)
-    cell = 1.25
-    snapshots = [
-        np.broadcast_to(s, (batch, n, 2)).copy()
-        for s in drifting_points(n, side, 0.1, steps=10, seed=5)
-    ]
-
-    def rebuild():
-        # What a non-incremental implementation pays per snapshot: fresh
-        # cell assignment + full occupancy bincount.
-        probe = IncrementalBatchOccupancy(side, batch, cell)
-        mm = probe.m * probe.m
-        offsets = np.arange(batch, dtype=np.int64)[:, None] * mm
-        for snap in snapshots:
-            gid = probe._cells_of(snap) + offsets
-            np.bincount(gid.reshape(-1), minlength=batch * mm)
-
-    def update():
-        occ = IncrementalBatchOccupancy(side, batch, cell, track_counts=True, rebuild_fraction=1.0)
-        for snap in snapshots:
-            occ.update(snap)
-
-    best = _interleaved_best({"rebuild": rebuild, "update": update}, repeats)
+    seconds = _interleaved_best({"build": build}, repeats)["build"]
     return [
         {
-            "name": f"batch_occupancy_{name}",
-            "params": {"batch": batch, "n": n, "cell": cell},
+            "name": "grid_index_build",
+            "params": {"n": n, "cell": cell},
             "seconds": seconds,
             "per_call": seconds / len(snapshots),
             "repeats": repeats,
         }
-        for name, seconds in best.items()
     ]
 
 
 def _bench_batch_any_within(repeats: int, smoke: bool) -> tuple:
-    """The batched infection kernel, new defaults vs PR 1 strategies."""
+    """The batched infection kernel: cell cover vs the tiled engine."""
     batch, n = (4, 500) if smoke else (16, 2_000)
     side, radius = math.sqrt(n) * 0.7071 * 2, 2.8
     positions, informed, uninformed = batch_infection_workload(batch, n, side)
-    new_query = BatchNeighborQuery(side, batch)
-    legacy_query = BatchNeighborQuery(side, batch, incremental=False, prune=False)
+    tiled = "kdtree" if "kdtree" in available_backends() else "grid"
+    queries = {
+        "cells": BatchNeighborQuery(side, batch, backend="cells"),
+        "tiled": BatchNeighborQuery(side, batch, backend=tiled),
+    }
 
-    def run(query):
-        return query.any_within(positions, informed, uninformed, radius)
+    def run(name):
+        return queries[name].any_within(positions, informed, uninformed, radius)
 
-    best = _interleaved_best(
-        {"new": lambda: run(new_query), "legacy": lambda: run(legacy_query)}, repeats
-    )
-    parity_ok = bool(np.array_equal(run(new_query), run(legacy_query)))
+    best = _interleaved_best({name: (lambda k=name: run(k)) for name in queries}, repeats)
+    parity_ok = bool(np.array_equal(run("cells"), run("tiled")))
     kernels = [
         {
             "name": f"batch_any_within_{name}",
@@ -336,13 +263,12 @@ def _bench_batch_any_within(repeats: int, smoke: bool) -> tuple:
 # ----------------------------------------------------------------------
 # End-to-end benchmarks + parity
 # ----------------------------------------------------------------------
-def _config(workload: dict, engine: str, neighbor_options: dict = None) -> FloodingConfig:
+def _config(workload: dict, engine: str) -> FloodingConfig:
     return standard_config(
         workload["n"],
         radius_factor=workload["radius_factor"],
         seed=workload["seed"],
         engine=engine,
-        neighbor_options=dict(neighbor_options or {}),
     )
 
 
@@ -365,10 +291,7 @@ def _result_fingerprint(results) -> list:
 
 def _bench_end_to_end(workload: dict, repeats: int, include_scalar: bool) -> tuple:
     trials = workload["trials"]
-    strategies = {
-        "batch": _config(workload, "batch"),
-        "batch_legacy": _config(workload, "batch", LEGACY_OPTIONS),
-    }
+    strategies = {"batch": _config(workload, "batch")}
     if include_scalar:
         strategies["scalar"] = _config(workload, "scalar")
 
@@ -389,41 +312,22 @@ def _bench_end_to_end(workload: dict, repeats: int, include_scalar: bool) -> tup
         {"name": name, "workload": dict(workload), "seconds": seconds, "repeats": repeats}
         for name, seconds in best.items()
     ]
-    speedups = {"batch_vs_legacy": best["batch_legacy"] / best["batch"]}
+    speedups = {}
     if include_scalar:
         speedups["batch_vs_scalar"] = best["scalar"] / best["batch"]
     return rows, speedups, parity
 
 
 def _parity_sweep(smoke: bool) -> dict:
-    """Cross-strategy / cross-backend result equality at a small scale.
+    """Cross-engine / cross-backend result equality at a small scale.
 
     Cheap enough for CI; the exhaustive randomized sweep lives in
     ``tests/test_flooding_parity.py``.
     """
     workload = {"n": 150, "trials": 6, "radius_factor": 1.0, "seed": 11}
-    reference = None
+    reference = _result_fingerprint(run_trials(_config(workload, "scalar"), workload["trials"]))
     checks = {}
-    option_grid = [
-        {},
-        {"incremental": False},
-        {"prune": False},
-        LEGACY_OPTIONS,
-    ]
-    for engine in ("scalar", "batch"):
-        for options in option_grid:
-            key = f"{engine}:" + (
-                ",".join(f"{k}={v}" for k, v in sorted(options.items())) or "defaults"
-            )
-            fingerprint = _result_fingerprint(
-                run_trials(_config(workload, engine, options), workload["trials"])
-            )
-            if reference is None:
-                reference = fingerprint
-                checks[key] = True
-            else:
-                checks[key] = fingerprint == reference
-    for backend in available_backends():
+    for backend in ["auto"] + available_backends():
         config = _config(workload, "batch").with_options(backend=backend)
         fingerprint = _result_fingerprint(run_trials(config, workload["trials"]))
         checks[f"batch:backend={backend}"] = fingerprint == reference
@@ -1034,40 +938,6 @@ def _kernel_tier_workloads(smoke: bool) -> list:
     workloads.append(("advance_legs", legs, run_advance_legs))
     workloads.append(("advance_legs_dense", legs, run_advance_legs_dense))
 
-    # -- incremental index kernels: argsort-splice + occupancy delta --
-    splice = dict(KERNEL_TIER_SPLICE_SMOKE if smoke else KERNEL_TIER_SPLICE)
-    sp_n, sp_steps = splice["n"], splice["steps"]
-    sp_side, sp_cell = math.sqrt(sp_n), 2.0
-    sp_snapshots = drifting_points(sp_n, sp_side, 0.7, steps=sp_steps, seed=3)
-
-    def run_grid_splice(tier):
-        index = IncrementalGridIndex(sp_side, sp_cell, rebuild_fraction=1.0)
-        with use_kernel_tier(tier):
-            for snap in sp_snapshots:
-                index.update(snap)
-        return index._order.tobytes() + index._sorted_ids.tobytes()
-
-    occ_batch, occ_n = (4, 500) if smoke else (16, 2_000)
-    occ_side, occ_cell = math.sqrt(occ_n), 1.25
-    occ_snapshots = [
-        np.broadcast_to(s, (occ_batch, occ_n, 2)).copy()
-        for s in drifting_points(occ_n, occ_side, 0.1, steps=sp_steps, seed=5)
-    ]
-
-    def run_occupancy_delta(tier):
-        occ = IncrementalBatchOccupancy(
-            occ_side, occ_batch, occ_cell, track_counts=True, rebuild_fraction=1.0
-        )
-        with use_kernel_tier(tier):
-            for snap in occ_snapshots:
-                occ.update(snap)
-        return occ.counts.copy()
-
-    workloads.append(("grid_splice", {"n": sp_n, "steps": sp_steps}, run_grid_splice))
-    workloads.append(
-        ("occupancy_delta", {"batch": occ_batch, "n": occ_n, "steps": sp_steps}, run_occupancy_delta)
-    )
-
     # -- union-find fixpoint: incremental batched connectivity --
     union = dict(KERNEL_TIER_UNION_SMOKE if smoke else KERNEL_TIER_UNION)
     uf_replicas, uf_n, uf_rounds = union["replicas"], union["n"], union["rounds"]
@@ -1126,7 +996,7 @@ def _bench_kernel_tier(workload: dict, repeats: int, smoke: bool) -> tuple:
 
     Returns ``(section, micro_rows, parity_checks)``; ``micro_rows`` also
     land in the report's top-level ``kernels`` list.  Without a compiled
-    provider (no numba, C toolchain absent or disabled) the suite still
+    provider (C toolchain absent or disabled) the suite still
     runs and records the numpy rows — the compiled columns and the
     end-to-end compiled arm are simply absent.
     """
@@ -1142,8 +1012,8 @@ def _bench_kernel_tier(workload: dict, repeats: int, smoke: bool) -> tuple:
     tiers = ("compiled", "numpy") if provider is not None else ("numpy",)
     checks = {}
 
-    # Warm the compiled provider (cext build / numba JIT of every kernel
-    # signature) before anything is timed, then require zero compile
+    # Warm the compiled provider (cext build, every kernel signature
+    # exercised once) before anything is timed, then require zero compile
     # events across the measured region: best-of-N must compare warm
     # steady-state paths only.
     warm_kernels()
@@ -1274,7 +1144,6 @@ def run_benchmarks(
 
     if suite in ("core", "all"):
         kernels.extend(_bench_grid_index(repeats, smoke))
-        kernels.extend(_bench_batch_occupancy(repeats, smoke))
         any_within_kernels, kernel_parity = _bench_batch_any_within(repeats, smoke)
         kernels.extend(any_within_kernels)
 
@@ -1342,12 +1211,6 @@ def run_benchmarks(
         scipy_version = scipy.__version__
     except ImportError:  # pragma: no cover - depends on environment
         scipy_version = None
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:  # pragma: no cover - depends on environment
-        numba_version = None
     from repro.kernels import kernel_tier_label
 
     report = {
@@ -1360,7 +1223,6 @@ def run_benchmarks(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy_version,
-            "numba": numba_version,
             "kernel_tier": kernel_tier_label("auto"),
             "machine": platform.machine(),
             "system": platform.system(),
@@ -1409,11 +1271,7 @@ def render_table(report: dict) -> str:
     if report["kernels"]:
         lines.append(f"{'kernel':38s} {'per call':>12s}")
         for kernel in report["kernels"]:
-            name = kernel["name"]
-            churn = kernel["params"].get("churn")
-            if churn is not None:
-                name = f"{name}[{churn}]"
-            lines.append(f"{name:38s} {kernel['per_call'] * 1e3:9.3f} ms")
+            lines.append(f"{kernel['name']:38s} {kernel['per_call'] * 1e3:9.3f} ms")
         lines.append("")
     if report["end_to_end"]:
         workload = report["workloads"]["end_to_end"]

@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("auto", "compiled", "numpy"),
             default="auto",
             help="compiled kernel tier for hot loops: 'numpy' (reference "
-            "vectorized paths), 'compiled' (numba/cext provider, bit-exact "
-            "by contract, error if no provider is available), or 'auto' "
+            "vectorized paths), 'compiled' (bundled C provider, bit-exact "
+            "by contract, error if it does not build), or 'auto' "
             "(compiled when a provider exists, else numpy; the default)",
         )
 

@@ -1,14 +1,13 @@
 """Geometric substrate: points, Manhattan paths, spatial indexes, samplers.
 
 Also the registry surface for backend selection: ``available_backends()``
-lists the neighbor engines (and, with ``kind="kernels"``, the compiled
-kernel providers), and ``kernel_backend()`` / ``use_kernel_tier()`` /
+lists the neighbor engines (and, with ``kind="kernels"``, the kernel
+backends), and ``kernel_backend()`` / ``use_kernel_tier()`` /
 ``kernel_tier_label()`` are re-exported from :mod:`repro.kernels` so
 callers can probe and scope the compiled tier from one import.
 """
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.neighbors import (
     BatchNeighborQuery,
     BoundSnapshot,
@@ -55,8 +54,6 @@ from repro.kernels import (
 
 __all__ = [
     "GridIndex",
-    "IncrementalGridIndex",
-    "IncrementalBatchOccupancy",
     "NeighborEngine",
     "BoundSnapshot",
     "GridNeighborEngine",

@@ -49,8 +49,6 @@ class GridIndex:
         self.n_cells = max(1, int(np.ceil(self.side / self.cell_size)))
         self._points: np.ndarray = np.empty((0, 2))
         self._order: np.ndarray = np.empty(0, dtype=np.intp)
-        self._ids: np.ndarray = np.empty(0, dtype=np.intp)
-        self._sorted_ids: np.ndarray = np.empty(0, dtype=np.intp)
         self._starts: np.ndarray = np.zeros(self.n_cells * self.n_cells + 1, dtype=np.intp)
 
     # ------------------------------------------------------------------
@@ -67,13 +65,9 @@ class GridIndex:
         self._points = points
         ids = self._bucket_ids(points)
         self._order = np.argsort(ids, kind="stable")
-        # Bucket ids (per point, and in sorted order) are retained so that
-        # IncrementalGridIndex.update can splice moved points in place.
-        self._ids = ids
-        self._sorted_ids = ids[self._order]
         # starts[b] .. starts[b+1] is the slice of self._order in bucket b.
         self._starts = np.searchsorted(
-            self._sorted_ids, np.arange(self.n_cells * self.n_cells + 1)
+            ids[self._order], np.arange(self.n_cells * self.n_cells + 1)
         )
         return self
 

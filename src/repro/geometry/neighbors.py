@@ -17,17 +17,15 @@ Two interchangeable backends implement them:
 Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
 KD-tree when scipy is importable and falls back to the grid otherwise.
 
-Two layers sit on top of the raw engines (DESIGN.md, "Incremental and
-frontier-pruned neighbor subsystem"):
+Two layers sit on top of the raw engines (DESIGN.md, "Bound snapshots and
+the batched cell cover"):
 
 * **Bound snapshots** — within one communication round the positions are
   frozen, so :meth:`NeighborEngine.bind` freezes them into a
   :class:`BoundSnapshot` whose spatial index is built once and shared by
   every query on the snapshot (the multi-hop exchange loop, paired
-  ``any_within``/``count_within`` calls).  The grid backend additionally
-  keeps a persistent :class:`~repro.geometry.incremental.IncrementalGridIndex`
-  across ``bind`` calls, splicing per-step displacements instead of
-  re-sorting every round.
+  ``any_within``/``count_within`` calls).  Every ``bind`` builds its
+  indexes afresh; nothing persists between rounds.
 
 * **Batched queries** — the batch simulation engine answers the
   per-replica queries of **B independent trials with one engine call**
@@ -35,8 +33,9 @@ frontier-pruned neighbor subsystem"):
   translated into a disjoint tile of a larger virtual square, tiles
   separated by more than the query radius, so a single spatial index over
   the union can never report a cross-replica hit.  Its cell-cover strategy
-  prunes informed sources far from the uninformed frontier before any
-  binning (exact — see :meth:`BatchBoundQuery.any_within`).
+  resolves most infection tests from per-replica occupancy grids and
+  sends only the thin uncertain shell to an exact tiled query (see
+  :meth:`BatchBoundQuery.any_within`).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ import math
 import numpy as np
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.incremental import IncrementalBatchOccupancy, IncrementalGridIndex
 from repro.geometry.points import as_points
 from repro.kernels import get_kernel
 
@@ -124,11 +122,9 @@ class BoundSnapshot:
 
         The snapshot counterpart of :meth:`NeighborEngine.pairs_within`
         for per-step edge extraction over a recorded series (disk-graph
-        snapshots, contact traces): binding each frame lets persistent
-        backends splice per-step displacements instead of re-sorting every
-        frame.  This base implementation delegates to the engine's
-        coordinate API; the grid snapshot overrides it with the persistent
-        incremental full index, the KD-tree snapshot with a fast-build
+        snapshots, contact traces).  This base implementation delegates to
+        the engine's coordinate API (one fresh grid index for the grid
+        engine); the KD-tree snapshot overrides it with a fast-build
         throwaway tree.
 
         Returns:
@@ -162,107 +158,44 @@ class NeighborEngine:
     def bind(self, points, radius: float) -> BoundSnapshot:
         """Freeze ``points`` into a :class:`BoundSnapshot` for masked queries.
 
-        The snapshot is valid until the next ``bind`` call on the same
-        engine (persistent backends recycle their index between rounds).
+        The snapshot owns its indexes, so it stays valid for as long as
+        ``points`` is not mutated.
         """
         return BoundSnapshot(self, as_points(points), radius)
 
 
 class _GridSnapshot(BoundSnapshot):
-    """Grid-backed snapshot with an adaptive index side.
-
-    Most queries get a small throwaway index over just the sources
-    (memoized on the index-array identity, so paired ``any_within`` /
-    ``count_within`` calls share it) — exactly the pre-snapshot behaviour.
-    When the sources are dense *and* the queries few (late flooding
-    rounds: informed ~ n, a handful of stragglers), re-sorting ~n sources
-    every round is the dominant waste, so the snapshot switches to the
-    engine's persistent full-snapshot index (splice-updated between
-    rounds when the engine is incremental) with a source-membership
-    filter on the candidate pairs.  Both paths run the same inclusive
-    distance test, so results are identical.
+    """Grid-backed snapshot: one throwaway index over the sources, memoized
+    on the index-array identity, so paired ``any_within`` /
+    ``count_within`` calls share it.  Every path runs the same inclusive
+    distance test as the engine's coordinate API.
     """
-
-    #: Full-index path: sources above this fraction of n ...
-    _DENSE_SOURCE_FRACTION = 0.5
-    #: ... and queries below this fraction of n.
-    _FEW_QUERY_FRACTION = 0.125
 
     def __init__(self, engine, points, radius):
         super().__init__(engine, points, radius)
-        self._full = None  # lazily built/updated persistent index
-        self._memo = None  # (source_idx, index) for the sparse path
-
-    def _full_index(self) -> GridIndex:
-        if self._full is None:
-            self._full = self.engine._bound_index(self.points, self.radius)
-        return self._full
+        self._memo = None  # (source_idx, index)
 
     def _source_index(self, source_idx) -> GridIndex:
         memo = self._memo
         if memo is not None and memo[0] is source_idx:
             return memo[1]
-        index = GridIndex(self.engine.side, self.engine._cell_for(self.radius))
-        index.build(self.points[source_idx])
+        index = self.engine._index(self.points[source_idx], self.radius)
         self._memo = (source_idx, index)
         return index
-
-    def _masked_candidates(self, source_idx, queries) -> tuple:
-        """Exact ``(query position, source agent)`` matches against the
-        persistent full index, membership-filtered to ``source_idx`` —
-        shared by the dense-source paths of ``any_within`` /
-        ``count_within`` / ``contacts_within``."""
-        source_mask = np.zeros(self.points.shape[0], dtype=bool)
-        source_mask[source_idx] = True
-        index = self._full_index()
-        qidx, pidx = index._candidate_arrays(queries, self.radius)
-        keep = source_mask[pidx]
-        qidx = qidx[keep]
-        pidx = pidx[keep]
-        if qidx.size:
-            diff = queries[qidx] - self.points[pidx]
-            hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
-            qidx = qidx[hit]
-            pidx = pidx[hit]
-        return qidx, pidx
-
-    def _masked_full(self, source_idx, queries):
-        return self._masked_candidates(source_idx, queries)[0]
-
-    def _use_full(self, source_idx, query_idx) -> bool:
-        n = self.points.shape[0]
-        return (
-            source_idx.size > self._DENSE_SOURCE_FRACTION * n
-            and query_idx.size < self._FEW_QUERY_FRACTION * n
-        )
 
     def any_within(self, source_idx, query_idx) -> np.ndarray:
         source_idx = np.asarray(source_idx, dtype=np.intp)
         query_idx = np.asarray(query_idx, dtype=np.intp)
         if source_idx.size == 0 or query_idx.size == 0:
             return np.zeros(query_idx.size, dtype=bool)
-        if not self._use_full(source_idx, query_idx):
-            return self._source_index(source_idx).any_within(
-                self.points[query_idx], self.radius
-            )
-        queries = self.points[query_idx]
-        result = np.zeros(queries.shape[0], dtype=bool)
-        result[self._masked_full(source_idx, queries)] = True
-        return result
+        return self._source_index(source_idx).any_within(self.points[query_idx], self.radius)
 
     def count_within(self, source_idx, query_idx) -> np.ndarray:
         source_idx = np.asarray(source_idx, dtype=np.intp)
         query_idx = np.asarray(query_idx, dtype=np.intp)
         if source_idx.size == 0 or query_idx.size == 0:
             return np.zeros(query_idx.size, dtype=np.intp)
-        if not self._use_full(source_idx, query_idx):
-            return self._source_index(source_idx).count_within(
-                self.points[query_idx], self.radius
-            )
-        queries = self.points[query_idx]
-        counts = np.zeros(queries.shape[0], dtype=np.intp)
-        np.add.at(counts, self._masked_full(source_idx, queries), 1)
-        return counts
+        return self._source_index(source_idx).count_within(self.points[query_idx], self.radius)
 
     def contacts_within(self, source_idx, query_idx) -> tuple:
         source_idx = np.asarray(source_idx, dtype=np.intp)
@@ -271,11 +204,6 @@ class _GridSnapshot(BoundSnapshot):
         if source_idx.size == 0 or query_idx.size == 0:
             return empty, empty
         queries = self.points[query_idx]
-        if self._use_full(source_idx, query_idx):
-            # Dense sources, few queries: reuse the persistent full-snapshot
-            # index (candidates carry agent ids directly).
-            qidx, sources = self._masked_candidates(source_idx, queries)
-            return sources, query_idx[qidx]
         index = self._source_index(source_idx)
         qidx, pidx = index._candidate_arrays(queries, self.radius)
         if qidx.size == 0:
@@ -285,11 +213,6 @@ class _GridSnapshot(BoundSnapshot):
         hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
         return sources[hit], query_idx[qidx[hit]]
 
-    def pairs_within(self) -> np.ndarray:
-        # The persistent full index splices per-step displacements across
-        # binds, so frame-by-frame edge extraction never re-sorts n points.
-        return self._full_index().pairs_within(self.radius)
-
 
 class GridNeighborEngine(NeighborEngine):
     """Bucket-grid backend (pure numpy).
@@ -298,20 +221,13 @@ class GridNeighborEngine(NeighborEngine):
         side: side length of the square region.
         cell_size: bucket side override (default ``max(radius, side/512)``
             per query).
-        incremental: when True (default), :meth:`bind` maintains a
-            persistent :class:`IncrementalGridIndex` across rounds and
-            splices per-step displacements; when False every ``bind``
-            builds a fresh index (the pre-incremental behaviour, kept for
-            the parity sweeps and the bench baseline).
     """
 
     name = "grid"
 
-    def __init__(self, side: float, cell_size: float = None, incremental: bool = True):
+    def __init__(self, side: float, cell_size: float = None):
         super().__init__(side)
         self._cell_size = cell_size
-        self.incremental = bool(incremental)
-        self._bound_indexes: dict = {}
 
     def _cell_for(self, radius: float) -> float:
         return self._cell_size if self._cell_size is not None else max(radius, self.side / 512.0)
@@ -328,21 +244,6 @@ class GridNeighborEngine(NeighborEngine):
         """
         index = GridIndex(self.side, self._cell_for(radius))
         index.build(points)
-        return index
-
-    def _bound_index(self, points, radius: float) -> GridIndex:
-        """Full-snapshot index for dense masked queries — persistent and
-        splice-updated between rounds when the engine is incremental."""
-        cell = self._cell_for(radius)
-        if not self.incremental:
-            return GridIndex(self.side, cell).build(points)
-        index = self._bound_indexes.get(cell)
-        if index is None:
-            if len(self._bound_indexes) >= 4:  # defensive: unbounded radii churn
-                self._bound_indexes.clear()
-            index = IncrementalGridIndex(self.side, cell)
-            self._bound_indexes[cell] = index
-        index.update(points)
         return index
 
     def bind(self, points, radius: float) -> BoundSnapshot:
@@ -547,13 +448,12 @@ class BatchBoundQuery:
     """Per-replica queries bound to one ``(B, n, 2)`` snapshot.
 
     Obtained from :meth:`BatchNeighborQuery.bind`.  Within the snapshot's
-    lifetime (one communication round) the derived per-agent cell
-    assignments and tiled coordinates are computed at most once and shared
-    by every hop and every ``any_within``/``count_within`` call.  The
-    snapshot is valid until the next ``bind`` on the same query object.
+    lifetime (one communication round) the tiled coordinates are computed
+    at most once and shared by every hop and every
+    ``any_within``/``count_within`` call.
     """
 
-    def __init__(self, query: "BatchNeighborQuery", positions: np.ndarray, rows=None):
+    def __init__(self, query: "BatchNeighborQuery", positions: np.ndarray):
         positions = np.asarray(positions, dtype=np.float64)
         if positions.ndim != 3 or positions.shape[2] != 2:
             raise ValueError(f"positions must have shape (B, n, 2), got {positions.shape}")
@@ -563,38 +463,30 @@ class BatchBoundQuery:
             )
         self.query = query
         self.positions = positions
-        self.rows = rows
-        self._cells = {}  # cell size -> (gid, m) for this snapshot
         self._shifted = {}  # radius -> (flat shifted coords, big_side)
 
     # ------------------------------------------------------------------
-    # Shared per-snapshot derived state
+    # Derived state
     # ------------------------------------------------------------------
-    def _cells_for(self, radius: float):
-        """Per-agent global cell ids for the cell-cover kernel (or None
-        when the occupancy grid would be unreasonably large)."""
-        divisor = self.query._COVER_DIVISOR
-        cell = radius / divisor
-        key = cell
-        cached = self._cells.get(key)
-        if cached is not None:
-            return cached
+    def _cells_for(self, radius: float, rows: np.ndarray):
+        """``(gid, m)``: per-agent global cell ids for the cell-cover
+        kernel, filled on replica ``rows`` only (other rows are left
+        unset), and the grid side ``m`` — or None when the occupancy grid
+        would be unreasonably large."""
+        cell = radius / self.query._COVER_DIVISOR
         m = max(1, int(math.ceil(self.query.side / cell)))
-        batch, n, _ = self.positions.shape
+        batch = self.positions.shape[0]
         if batch * m * m > self.query._MAX_COVER_CELLS:
-            self._cells[key] = None
             return None
-        if self.query.incremental:
-            occupancy = self.query._occupancy_for(cell, m)
-            occupancy.update(self.positions, rows=self.rows)
-            gid = occupancy.gid
-        else:
-            ij = (self.positions * (1.0 / cell)).astype(np.int64)
-            np.clip(ij, 0, m - 1, out=ij)
-            cid = ij[..., 0] * m + ij[..., 1]
-            gid = cid + np.arange(batch, dtype=np.int64)[:, None] * (m * m)
-        self._cells[key] = (gid, m)
-        return self._cells[key]
+        positions = self.positions if rows.size == batch else self.positions[rows]
+        ij = (positions * (1.0 / cell)).astype(np.int64)
+        np.clip(ij, 0, m - 1, out=ij)
+        cells = ij[..., 0] * m + ij[..., 1] + rows[:, None] * (m * m)
+        if rows.size == batch:
+            return cells, m
+        gid = np.empty(self.positions.shape[:2], dtype=np.int64)
+        gid[rows] = cells
+        return gid, m
 
     def _shifted_for(self, radius: float):
         """Tile-shifted flat coordinates (cached per radius)."""
@@ -652,7 +544,11 @@ class BatchBoundQuery:
     def _cells_any_within(self, source_mask, query_mask, radius):
         """Cell-cover ``any_within`` (see :class:`BatchNeighborQuery`);
         returns None when the cover grid is unavailable."""
-        info = self._cells_for(radius)
+        # Replicas with neither sources nor queries (retired ones) are
+        # never read, so their cells are not computed: late in a batch most
+        # replicas have retired.
+        rows = np.nonzero(source_mask.any(axis=1) | query_mask.any(axis=1))[0]
+        info = self._cells_for(radius, rows)
         if info is None:
             return None
         gid, m = info
@@ -679,27 +575,6 @@ class BatchBoundQuery:
         q_gid = gid_flat[query_flat]
         s_gid = gid_flat[source_flat]
 
-        # Frontier pruning: a source farther than reach_possible cells from
-        # every query-occupied cell can neither hit a query nor change any
-        # certainty read at a query cell — drop it before binning, so late
-        # flooding rounds (informed ~ n, queries few) cost O(frontier)
-        # instead of O(n) in every source-sized pass below.  The drop is
-        # exact, so it is applied only in the source-heavy regime where the
-        # shell test costs less than it saves; in query-heavy rounds the
-        # unresolved-shell restriction below bounds the exact-check work
-        # just as tightly without the extra dilation.
-        pruned = False
-        if self.query.prune and source_flat.size > query_flat.size:
-            q_occ = np.zeros(cells, dtype=bool)
-            q_occ[q_gid] = True
-            near_queries = _dilate(q_occ.reshape(batch, m, m), reach_possible).reshape(-1)
-            keep = near_queries[s_gid]
-            source_flat = source_flat[keep]
-            s_gid = s_gid[keep]
-            pruned = True
-            if source_flat.size == 0:
-                return hits.reshape(batch, n)
-
         src_occ = np.zeros(cells, dtype=bool)
         src_occ[s_gid] = True
         occ = src_occ.reshape(batch, m, m)
@@ -721,17 +596,11 @@ class BatchBoundQuery:
         unresolved_flat = query_flat[ambiguous]
         if unresolved_flat.size:
             # Exact distances for the thin shell between the certainties,
-            # against the sources near the shell's cells only.  After a
-            # shell prune, every surviving source is already within
-            # reach_possible of a query cell — one more dilation to
-            # restrict to the *unresolved* cells rarely pays for itself.
-            if pruned:
-                near_source_flat = source_flat
-            else:
-                u_occ = np.zeros(cells, dtype=bool)
-                u_occ[q_gid[ambiguous]] = True
-                near = _dilate(u_occ.reshape(batch, m, m), reach_possible).reshape(-1)
-                near_source_flat = source_flat[near[s_gid]]
+            # against the sources near the shell's cells only.
+            u_occ = np.zeros(cells, dtype=bool)
+            u_occ[q_gid[ambiguous]] = True
+            near = _dilate(u_occ.reshape(batch, m, m), reach_possible).reshape(-1)
+            near_source_flat = source_flat[near[s_gid]]
             if near_source_flat.size:
                 hit = self._flat_tiled_any_within(near_source_flat, unresolved_flat, radius)
                 hits[unresolved_flat[hit]] = True
@@ -922,21 +791,15 @@ class BatchNeighborQuery:
 
     * **cell cover** (``"cells"``, the ``"auto"`` default for
       :meth:`any_within`): per-replica occupancy grids with bucket side
-      ``radius / (2 sqrt2)`` resolve most queries by occupancy logic
-      alone — a source anywhere in the query's 3x3 cell box is
-      *certainly* within ``radius`` (the farthest pair of points in that
-      box is exactly ``2 sqrt2`` buckets apart), while no source within
-      Chebyshev distance 3 *certainly* means no hit (the gap is at least
-      3 buckets ``> radius``).  Only queries in the thin shell between
-      the two certainties fall through to an exact tiled query against
-      the nearby sources.  With ``prune`` (default), informed sources outside the
-      ``reach``-dilated shell of the query-occupied cells are dropped
-      before any binning — exact, because such sources can neither hit a
-      query nor change a certainty read at a query cell.  With
-      ``incremental`` (default), the per-agent cell assignment persists
-      across rounds in an
-      :class:`~repro.geometry.incremental.IncrementalBatchOccupancy`
-      refreshed from displacement deltas.
+      ``radius / (2 sqrt2)``, derived from the positions on every call
+      for the replicas still running, resolve most queries by occupancy logic alone — a
+      source anywhere in the query's 3x3 cell box is *certainly* within
+      ``radius`` (the farthest pair of points in that box is exactly
+      ``2 sqrt2`` buckets apart), while no source within Chebyshev
+      distance 3 *certainly* means no hit (the gap is at least 3 buckets
+      ``> radius``).  Only queries in the thin shell between the two
+      certainties fall through to an exact tiled query against the
+      sources near the shell.
 
     Strategies agree except possibly at distances within floating-point
     rounding of ``radius`` itself — the same ulp-level boundary slack the
@@ -950,21 +813,9 @@ class BatchNeighborQuery:
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, ``"cells"``, or
             ``"auto"`` (cell cover for ``any_within``, best tiled engine
             otherwise).
-        incremental: reuse per-agent cell assignments across rounds
-            (False re-derives them per call — the pre-incremental
-            behaviour, kept for parity sweeps and the bench baseline).
-        prune: frontier source pruning in the cell-cover kernel (False
-            keeps every informed source, as before this subsystem).
     """
 
-    def __init__(
-        self,
-        side: float,
-        batch_size: int,
-        backend: str = "auto",
-        incremental: bool = True,
-        prune: bool = True,
-    ):
+    def __init__(self, side: float, batch_size: int, backend: str = "auto"):
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
         if batch_size < 1:
@@ -977,14 +828,11 @@ class BatchNeighborQuery:
                 f"{sorted(_BACKENDS) + ['cells']} or 'auto'"
             )
         self.backend = backend
-        self.incremental = bool(incremental)
-        self.prune = bool(prune)
         self._tiled_backend = backend
         if backend in ("auto", "cells"):
             self._tiled_backend = "kdtree" if "kdtree" in available_backends() else "grid"
         self._cols = int(math.ceil(math.sqrt(self.batch_size)))
         self._rows = int(math.ceil(self.batch_size / self._cols))
-        self._occupancies: dict = {}
 
     #: Above this many occupancy-grid cells the cell cover falls back to
     #: tiling (tiny radii would make the per-replica grids enormous).
@@ -998,15 +846,6 @@ class BatchNeighborQuery:
     #: seed's sqrt(5) cross neighborhood now that the grid passes run as
     #: cheap boolean dilations (see ``repro bench``).
     _COVER_DIVISOR = 2.0 * math.sqrt(2.0)
-
-    def _occupancy_for(self, cell: float, m: int) -> IncrementalBatchOccupancy:
-        occupancy = self._occupancies.get(cell)
-        if occupancy is None:
-            if len(self._occupancies) >= 4:  # defensive: unbounded radii churn
-                self._occupancies.clear()
-            occupancy = IncrementalBatchOccupancy(self.side, self.batch_size, cell)
-            self._occupancies[cell] = occupancy
-        return occupancy
 
     def _tile_geometry(self, radius: float) -> tuple:
         """``(stride, big_side)`` of the virtual tile sheet for ``radius``.
@@ -1042,16 +881,9 @@ class BatchNeighborQuery:
         shifted = positions + offsets[:, None, :]
         return shifted.reshape(-1, 2), big_side
 
-    def bind(self, positions, rows=None) -> BatchBoundQuery:
-        """Freeze one ``(B, n, 2)`` snapshot for repeated queries.
-
-        Args:
-            positions: the snapshot tensor.
-            rows: optional replica indices that may have moved since the
-                previous ``bind`` (e.g. the active replicas); passed to the
-                incremental occupancy so frozen replicas cost nothing.
-        """
-        return BatchBoundQuery(self, positions, rows=rows)
+    def bind(self, positions) -> BatchBoundQuery:
+        """Freeze one ``(B, n, 2)`` snapshot for repeated queries."""
+        return BatchBoundQuery(self, positions)
 
     def any_within(self, positions, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica infection test.
@@ -1090,10 +922,10 @@ def available_backends(kind: str = "neighbors") -> list:
     Args:
         kind: ``"neighbors"`` (default) lists the neighbor-engine
             backends; ``"kernels"`` lists the kernel tiers backing the
-            ``kernels`` config knob — compiled providers first (``numba``
-            and/or ``cext``, probed once per process with the
-            ``REPRO_NO_NUMBA=1`` / ``REPRO_NO_CEXT=1`` escape hatches),
-            then the always-available ``numpy``.
+            ``kernels`` config knob — the compiled ``cext`` provider first
+            when it builds (probed once per process, with the
+            ``REPRO_NO_CEXT=1`` escape hatch), then the always-available
+            ``numpy``.
 
     Every probe runs once per process and is cached — constructing
     engines and batch queries in a hot loop must not re-attempt imports
@@ -1118,29 +950,16 @@ def available_backends(kind: str = "neighbors") -> list:
     return list(_AVAILABLE_BACKENDS)
 
 
-def make_engine(backend: str, side: float, **options) -> NeighborEngine:
+def make_engine(backend: str, side: float) -> NeighborEngine:
     """Construct a neighbor engine by name.
 
     Args:
         backend: ``"grid"``, ``"kdtree"``, ``"brute"``, or ``"auto"``
             (kdtree if scipy is available, else grid).
         side: side length of the square region.
-        options: engine tuning knobs; currently ``incremental`` and
-            ``cell_size`` (grid engine only — silently ignored by
-            backends they do not apply to, so one options dict can be
-            threaded through backend-agnostic code).
     """
-    unknown = set(options) - {"incremental", "cell_size"}
-    if unknown:
-        raise ValueError(f"unknown engine options: {sorted(unknown)}")
     if backend == "auto":
         backend = "kdtree" if "kdtree" in available_backends() else "grid"
     if backend not in _BACKENDS:
         raise ValueError(f"unknown neighbor backend {backend!r}; expected one of {sorted(_BACKENDS)} or 'auto'")
-    if backend == "grid":
-        return GridNeighborEngine(
-            side,
-            cell_size=options.get("cell_size"),
-            incremental=options.get("incremental", True),
-        )
     return _BACKENDS[backend](side)

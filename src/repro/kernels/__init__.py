@@ -7,12 +7,11 @@ sites in geometry, mobility, and network):
 ``"numpy"``
     The vectorized reference paths — always available, bit-exact default.
 ``"compiled"``
-    Loop kernels from the first available *provider*: ``numba`` (``@njit``
-    of :mod:`repro.kernels._cores`, preferred when importable) or ``cext``
-    (the bundled C mirror built on demand with the system compiler).
-    Requesting this tier with no provider available raises.
+    Loop kernels from the ``cext`` provider: the bundled C mirror of
+    :mod:`repro.kernels._cores`, built on demand with the system compiler.
+    Requesting this tier when the provider does not build raises.
 ``"auto"``
-    ``"compiled"`` when a provider exists, else ``"numpy"``.
+    ``"compiled"`` when the provider builds, else ``"numpy"``.
 
 Dispatch is *pull-based*: hot paths call :func:`get_kernel` and fall back
 to their numpy bodies when it returns ``None`` (tier inactive, provider
@@ -21,9 +20,9 @@ is process-global but scoped: the default is ``"numpy"`` so direct library
 calls keep exercising the reference paths, and the runners activate the
 configured tier around a simulation via :func:`use_kernel_tier`.
 
-Probes are cached per process, with escape hatches for tests and CI:
-``REPRO_NO_NUMBA=1`` blocks the numba provider, ``REPRO_NO_CEXT=1`` the C
-provider (together they force the numpy tier everywhere).
+The provider probe is cached per process; ``REPRO_NO_CEXT=1`` blocks the
+C provider, forcing the numpy tier everywhere (an escape hatch for tests
+and CI).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from ._glue import KERNEL_NAMES, make_kernels
 __all__ = [
     "KERNEL_NAMES",
     "KERNEL_TIERS",
-    "numba_available",
     "cext_available",
     "kernel_backend",
     "available_kernel_backends",
@@ -56,36 +54,12 @@ __all__ = [
 #: Valid values of the ``kernels`` config knob.
 KERNEL_TIERS = ("auto", "compiled", "numpy")
 
-_NUMBA_OK: bool | None = None
 _CEXT_CORES = None
 _CEXT_OK: bool | None = None
 _TABLES: dict = {}
 
 _ACTIVE_TIER = "numpy"
 _ACTIVE_KERNELS: dict | None = None
-
-
-def numba_available() -> bool:
-    """Cached probe for the numba provider (``REPRO_NO_NUMBA=1`` blocks it)."""
-    global _NUMBA_OK
-    if _NUMBA_OK is None:
-        if os.environ.get("REPRO_NO_NUMBA") == "1":
-            _NUMBA_OK = False
-        else:
-            try:
-                from . import _numba
-
-                # Force one real compile so a broken numba install is
-                # detected here (jit decoration alone defers all errors).
-                cores = _numba.load_cores()
-                counts = np.zeros(1, dtype=np.int64)
-                cell = np.zeros(1, dtype=np.int64)
-                cores.occupancy_delta_core(counts, cell, cell)
-            except Exception:
-                _NUMBA_OK = False
-            else:
-                _NUMBA_OK = True
-    return _NUMBA_OK
 
 
 def cext_available() -> bool:
@@ -113,22 +87,12 @@ def cext_available() -> bool:
 
 def kernel_backend() -> str | None:
     """The compiled provider the ``"compiled"`` tier would use, or ``None``."""
-    if numba_available():
-        return "numba"
-    if cext_available():
-        return "cext"
-    return None
+    return "cext" if cext_available() else None
 
 
 def available_kernel_backends() -> list:
     """All usable kernel backends, best first; ``"numpy"`` is always last."""
-    names = []
-    if numba_available():
-        names.append("numba")
-    if cext_available():
-        names.append("cext")
-    names.append("numpy")
-    return names
+    return ["cext", "numpy"] if cext_available() else ["numpy"]
 
 
 def resolve_kernel_tier(tier: str) -> str:
@@ -146,47 +110,27 @@ def resolve_kernel_tier(tier: str) -> str:
         if tier == "compiled":
             raise RuntimeError(
                 "kernels='compiled' requested but no compiled provider is available "
-                "(numba not importable and the C extension did not build)"
+                "(the C extension did not build)"
             )
         return "numpy"
     return "compiled"
 
 
 def kernel_tier_label(tier: str = "auto") -> str:
-    """Human/JSON label of the resolved tier: ``numpy``, ``numba-<ver>``, ``cext``."""
-    if resolve_kernel_tier(tier) == "numpy":
-        return "numpy"
-    backend = kernel_backend()
-    if backend == "numba":
-        from . import _numba
-
-        return f"numba-{_numba.numba_version()}"
-    return "cext"
-
-
-def _provider_table(backend: str) -> dict:
-    if backend not in _TABLES:
-        if backend == "numba":
-            from . import _numba
-
-            _TABLES[backend] = make_kernels(_numba.load_cores())
-        elif backend == "cext":
-            cext_available()
-            if _CEXT_CORES is None:
-                raise RuntimeError("cext kernel provider unavailable")
-            _TABLES[backend] = make_kernels(_CEXT_CORES)
-        else:
-            raise ValueError(f"unknown kernel backend {backend!r}")
-    return _TABLES[backend]
+    """Human/JSON label of the resolved tier: ``numpy`` or ``cext``."""
+    return "numpy" if resolve_kernel_tier(tier) == "numpy" else "cext"
 
 
 def provider_kernels(backend: str | None = None) -> dict:
-    """Kernel table of ``backend`` (default: the best available provider)."""
-    if backend is None:
-        backend = kernel_backend()
-        if backend is None:
+    """Kernel table of the compiled provider (``backend`` may only name
+    ``"cext"``, the default)."""
+    if backend not in (None, "cext"):
+        raise ValueError(f"unknown kernel backend {backend!r}")
+    if "cext" not in _TABLES:
+        if not cext_available():
             raise RuntimeError("no compiled kernel provider available")
-    return _provider_table(backend)
+        _TABLES["cext"] = make_kernels(_CEXT_CORES)
+    return _TABLES["cext"]
 
 
 def reference_kernels() -> dict:
@@ -232,10 +176,10 @@ def get_kernel(name: str):
 def warm_kernels(backend: str | None = None) -> str:
     """Exercise every compiled kernel once on tiny inputs.
 
-    Covers each kernel's single runtime type signature (all speed modes and
-    metrics of the leg kernels), so with numba no compilation can happen
-    after this returns.  Returns the tier label that was warmed (``"numpy"``
-    when no provider is available — nothing to warm).
+    Covers each kernel's runtime type signatures (all speed modes and
+    metrics of the leg kernels) after the provider has loaded.  Returns the
+    tier label that was warmed (``"numpy"`` when no provider is available —
+    nothing to warm).
     """
     if backend is None and kernel_backend() is None:
         return "numpy"
@@ -258,53 +202,28 @@ def warm_kernels(backend: str | None = None) -> str:
             table["advance_legs_dense"](
                 np.zeros((3, 2)), target, np.full(3, 0.25), moving, n_moving, 1e-9, speed
             )
-    order = np.array([2, 0, 1], dtype=np.intp)
-    sorted_ids = np.array([0, 1, 3], dtype=np.intp)
-    removed = np.array([False, True, False])
-    table["grid_splice"](
-        order, sorted_ids, removed,
-        np.array([2], dtype=np.intp), np.array([0], dtype=np.intp),
-    )
-    counts = np.zeros(4, dtype=np.int64)
-    table["occupancy_delta"](counts, np.array([1]), np.array([2]))
     parent = np.arange(4, dtype=np.intp)
     table["union_fixpoint"](parent, np.array([3]), np.array([1]))
     table["zone_counts"](
         pos3, src_mask, 0.5, 2, np.array([[True, False], [False, True]])
     )
-    warmed = backend if backend is not None else kernel_backend()
-    if warmed == "numba":
-        from . import _numba
-
-        return f"numba-{_numba.numba_version()}"
-    return warmed or "numpy"
+    return backend if backend is not None else kernel_backend()
 
 
 def compile_events() -> int:
     """Monotone counter of compilation work done by this process.
 
-    Counts C builds plus, when the numba provider is loaded, the total
-    number of jitted signatures — so a delta of zero across a timed region
-    proves warm-path-only measurement.
+    Counts C builds, so a delta of zero across a timed region proves
+    warm-path-only measurement.
     """
-    total = 0
-    try:
-        from . import _cext
+    from . import _cext
 
-        total += _cext.build_count()
-    except Exception:
-        pass
-    if _NUMBA_OK:
-        from . import _numba
-
-        total += sum(len(d.signatures) for d in _numba.dispatchers().values())
-    return total
+    return _cext.build_count()
 
 
 def _reset_probe_cache_for_tests() -> None:
     """Forget cached probe results (tests toggle the env escape hatches)."""
-    global _NUMBA_OK, _CEXT_OK, _CEXT_CORES
-    _NUMBA_OK = None
+    global _CEXT_OK, _CEXT_CORES
     _CEXT_OK = None
     _CEXT_CORES = None
     _TABLES.clear()

@@ -204,31 +204,6 @@ int64_t repro_advance_legs_dense(double *restrict pos, const double *restrict ta
     return cnt;
 }
 
-void repro_splice(const int64_t *restrict order, const int64_t *restrict sorted_ids,
-                  const uint8_t *restrict removed, int64_t N,
-                  const int64_t *restrict new_ids, const int64_t *restrict new_pts, int64_t nn,
-                  int64_t *restrict out_order, int64_t *restrict out_ids)
-{
-    int64_t k = 0, j = 0;
-    for (int64_t t = 0; t < N; t++) {
-        if (removed[t]) continue;
-        int64_t idv = sorted_ids[t];
-        while (j < nn && new_ids[j] <= idv) {
-            out_ids[k] = new_ids[j];
-            out_order[k] = new_pts[j];
-            k++; j++;
-        }
-        out_ids[k] = idv;
-        out_order[k] = order[t];
-        k++;
-    }
-    while (j < nn) {
-        out_ids[k] = new_ids[j];
-        out_order[k] = new_pts[j];
-        k++; j++;
-    }
-}
-
 void repro_union(int64_t *restrict parent, int64_t N, const int64_t *restrict u,
                  const int64_t *restrict v, int64_t E)
 {
@@ -248,15 +223,6 @@ void repro_union(int64_t *restrict parent, int64_t N, const int64_t *restrict u,
     }
     for (int64_t i = 0; i < N; i++)
         parent[i] = parent[parent[i]];
-}
-
-void repro_occupancy_delta(int64_t *restrict counts, const int64_t *restrict old_cells,
-                           const int64_t *restrict new_cells, int64_t K)
-{
-    for (int64_t k = 0; k < K; k++) {
-        counts[old_cells[k]] -= 1;
-        counts[new_cells[k]] += 1;
-    }
 }
 
 void repro_zone_counts(const double *restrict pos, int64_t total, int64_t n, double ell,
@@ -360,14 +326,8 @@ def _declare(lib):
     lib.repro_advance_legs_dense.argtypes = [
         _f64_p, _f64_p, _f64_p, _u8_p, _i64, _int, _f64, _f64_p, _f64, _int, _i64_p,
     ]
-    lib.repro_splice.restype = None
-    lib.repro_splice.argtypes = [
-        _i64_p, _i64_p, _u8_p, _i64, _i64_p, _i64_p, _i64, _i64_p, _i64_p,
-    ]
     lib.repro_union.restype = None
     lib.repro_union.argtypes = [_i64_p, _i64, _i64_p, _i64_p, _i64]
-    lib.repro_occupancy_delta.restype = None
-    lib.repro_occupancy_delta.argtypes = [_i64_p, _i64_p, _i64_p, _i64]
     lib.repro_zone_counts.restype = None
     lib.repro_zone_counts.argtypes = [
         _f64_p, _i64, _i64, _f64, _i64, _u8_p, _u8_p, _i64_p, _i64_p,
@@ -417,18 +377,8 @@ def load_cores():
             _fp(speed_arr), _f64(speed_scalar), _int(speed_mode), _ip(done),
         )
 
-    def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
-        lib.repro_splice(
-            _ip(order), _ip(sorted_ids), _bp(removed), _i64(order.shape[0]),
-            _ip(new_ids), _ip(new_pts), _i64(new_ids.shape[0]),
-            _ip(out_order), _ip(out_ids),
-        )
-
     def union_core(parent, u, v):
         lib.repro_union(_ip(parent), _i64(parent.shape[0]), _ip(u), _ip(v), _i64(u.shape[0]))
-
-    def occupancy_delta_core(counts, old_cells, new_cells):
-        lib.repro_occupancy_delta(_ip(counts), _ip(old_cells), _ip(new_cells), _i64(old_cells.shape[0]))
 
     def zone_counts_core(pos, n, ell, m, cz_mask, informed, cz_total, cz_informed):
         lib.repro_zone_counts(
@@ -442,8 +392,6 @@ def load_cores():
         contacts_core=contacts_core,
         advance_legs_core=advance_legs_core,
         advance_legs_dense_core=advance_legs_dense_core,
-        splice_core=splice_core,
         union_core=union_core,
-        occupancy_delta_core=occupancy_delta_core,
         zone_counts_core=zone_counts_core,
     )

@@ -1,18 +1,13 @@
 """Loop-level kernel cores: the executable spec of the compiled tier.
 
-Each function here is written in the restricted style that both compiled
-providers consume directly:
-
-* the **numba provider** (:mod:`repro.kernels._numba`) applies ``@njit``
-  to these exact functions — nopython mode, no fastmath, so the float
-  arithmetic is the same IEEE operation sequence as the interpreted body;
-* the **C provider** (:mod:`repro.kernels._cext`) mirrors them statement
-  for statement in C (same operation order, correctly-rounded ``sqrt`` /
-  truncating casts), exposed through adapters with these signatures.
+Each function here is written in a restricted loop style that the C
+provider (:mod:`repro.kernels._cext`) mirrors statement for statement (same
+operation order, correctly-rounded ``sqrt`` / truncating casts), exposed
+through adapters with these signatures.
 
 They are also runnable as plain Python, which is how the parity tests pin
-the semantics against the numpy reference paths without requiring either
-provider to be installed.
+the semantics against the numpy reference paths without requiring the
+provider to build.
 
 Exactness contracts (enforced by ``tests/test_kernels.py``):
 
@@ -25,13 +20,9 @@ Exactness contracts (enforced by ``tests/test_kernels.py``):
   (same gathers, same guarded division, same ``move >= dist - eps``
   threshold, masked rows of the dense pass included), so positions and
   budgets are bit-identical.
-* ``splice_core`` — reproduces ``np.insert(..., searchsorted(...,
-  side='left'))`` exactly: inserted points land *before* equal-bucket
-  survivors, in stable sorted order.
 * ``union_core`` — union by minimum root + a final ascending compression
   pass; the result is the fully-compressed min-rooted parent array, the
   same canonical fixpoint the vectorized min-hooking loop converges to.
-* ``occupancy_delta_core`` — integer +/-1 scatter, trivially exact.
 * ``zone_counts_core`` — the exact cell classification of
   ``CellGrid.cell_indices`` (``p / ell``, truncating cast, clip to
   ``[0, m-1]``) followed by integer per-replica counts; the fractions the
@@ -47,9 +38,7 @@ __all__ = [
     "contacts_core",
     "advance_legs_core",
     "advance_legs_dense_core",
-    "splice_core",
     "union_core",
-    "occupancy_delta_core",
     "zone_counts_core",
 ]
 
@@ -292,36 +281,6 @@ def advance_legs_dense_core(pos, target, budget, moving, all_moving, eps, speed_
     return cnt
 
 
-def splice_core(order, sorted_ids, removed, new_ids, new_pts, out_order, out_ids):
-    """Single-pass merge of surviving layout + bucket-sorted moved points.
-
-    ``removed`` marks positions of the old layout to drop; ``new_ids`` /
-    ``new_pts`` are the moved points stably sorted by new bucket.  Inserted
-    points land before equal-bucket survivors (``<=``), matching
-    ``np.insert`` at ``searchsorted(..., side='left')`` positions.
-    """
-    nn = new_ids.shape[0]
-    k = 0
-    j = 0
-    for t in range(order.shape[0]):
-        if removed[t]:
-            continue
-        idv = sorted_ids[t]
-        while j < nn and new_ids[j] <= idv:
-            out_ids[k] = new_ids[j]
-            out_order[k] = new_pts[j]
-            k += 1
-            j += 1
-        out_ids[k] = idv
-        out_order[k] = order[t]
-        k += 1
-    while j < nn:
-        out_ids[k] = new_ids[j]
-        out_order[k] = new_pts[j]
-        k += 1
-        j += 1
-
-
 def union_core(parent, u, v):
     """Union endpoint pairs; restore the fully-compressed min-rooted invariant.
 
@@ -349,13 +308,6 @@ def union_core(parent, u, v):
             parent[x] = y
     for i in range(parent.shape[0]):
         parent[i] = parent[parent[i]]
-
-
-def occupancy_delta_core(counts, old_cells, new_cells):
-    """+/-1 repair of flat occupancy counts at the cells agents left/entered."""
-    for k in range(old_cells.shape[0]):
-        counts[old_cells[k]] -= 1
-        counts[new_cells[k]] += 1
 
 
 def zone_counts_core(pos, n, ell, m, cz_mask, informed, cz_total, cz_informed):

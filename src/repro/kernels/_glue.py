@@ -1,7 +1,7 @@
 """Numpy-side glue shared by every compiled-kernel provider.
 
-:func:`make_kernels` turns a namespace of loop cores (pure-Python,
-numba-jitted, or C adapters — all with the :mod:`repro.kernels._cores`
+:func:`make_kernels` turns a namespace of loop cores (the pure-Python
+spec or the C adapters — both with the :mod:`repro.kernels._cores`
 signatures) into the public kernel table consumed by the dispatch sites.
 
 Every public kernel is *total over a guarded domain*: it validates dtypes,
@@ -25,8 +25,6 @@ KERNEL_NAMES = (
     "batch_contacts",
     "advance_legs",
     "advance_legs_dense",
-    "grid_splice",
-    "occupancy_delta",
     "union_fixpoint",
     "zone_counts",
 )
@@ -177,33 +175,6 @@ def make_kernels(cores):
         )
         return done[: int(cnt)]
 
-    def grid_splice(order, sorted_ids, removed, new_ids, new_pts):
-        if not (_is_c_i64(order) and _is_c_i64(sorted_ids)):
-            return None
-        if not (_is_c_i64(new_ids) and _is_c_i64(new_pts)):
-            return None
-        if removed.dtype != np.bool_ or not removed.flags.c_contiguous:
-            return None
-        size = order.shape[0] - removed.sum() + new_ids.shape[0]
-        out_order = np.empty(size, dtype=np.intp)
-        out_ids = np.empty(size, dtype=np.intp)
-        cores.splice_core(
-            order.view(np.int64), sorted_ids.view(np.int64), removed,
-            new_ids.view(np.int64), new_pts.view(np.int64),
-            out_order.view(np.int64), out_ids.view(np.int64),
-        )
-        return out_order, out_ids
-
-    def occupancy_delta(counts_flat, old_cells, new_cells):
-        if counts_flat.dtype != np.int64 or not counts_flat.flags.c_contiguous:
-            return None
-        old64 = np.ascontiguousarray(old_cells, dtype=np.int64)
-        new64 = np.ascontiguousarray(new_cells, dtype=np.int64)
-        if old64.shape != new64.shape or old64.ndim != 1:
-            return None
-        cores.occupancy_delta_core(counts_flat, old64, new64)
-        return True
-
     def union_fixpoint(parent, u, v):
         if not _is_c_i64(parent):
             return None
@@ -241,8 +212,6 @@ def make_kernels(cores):
         "batch_contacts": batch_contacts,
         "advance_legs": advance_legs,
         "advance_legs_dense": advance_legs_dense,
-        "grid_splice": grid_splice,
-        "occupancy_delta": occupancy_delta,
         "union_fixpoint": union_fixpoint,
         "zone_counts": zone_counts,
     }

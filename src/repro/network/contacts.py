@@ -123,10 +123,8 @@ def record_contacts(
 ) -> ContactTrace:
     """Extract the contact trace of a snapshot series.
 
-    Each frame is bound into the engine's snapshot API, so persistent
-    backends (the incremental grid) splice per-step displacements across
-    frames instead of re-sorting every one; per-step pairs are stored in
-    canonical ``(i, j)`` order.
+    Each frame is bound into the engine's snapshot API; per-step pairs
+    are stored in canonical ``(i, j)`` order.
 
     Args:
         series: recorded mobility snapshots.

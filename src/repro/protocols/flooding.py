@@ -7,7 +7,7 @@ informed — lower-bounds every broadcast protocol and plays the role of the
 diameter in static networks.
 
 Both implementations exploit two structural facts of flooding (DESIGN.md,
-"Incremental and frontier-pruned neighbor subsystem"):
+"Bound snapshots and the batched cell cover"):
 
 * the informed set is **monotone**, so the uninformed/informed index lists
   are maintained incrementally instead of re-scanning the boolean mask
@@ -36,20 +36,15 @@ class FloodingProtocol(BroadcastProtocol):
             informed during this step do not retransmit until the next).
             When True, the message saturates entire connected components of
             the current snapshot within the step ("infinite bandwidth"
-            comparison mode).
-        prune: frontier pruning (default True) — hops ``>= 2`` of a
-            multi-hop round transmit from the just-informed frontier only.
-            Exact: results are identical either way (asserted by the
-            parity tests); False replays the pre-pruning behaviour for
-            comparison benchmarks.
+            comparison mode).  Hops ``>= 2`` of a multi-hop round
+            transmit from the just-informed frontier only.
     """
 
     name = "flooding"
 
-    def __init__(self, *args, multi_hop: bool = False, prune: bool = True, **kwargs):
+    def __init__(self, *args, multi_hop: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self.multi_hop = bool(multi_hop)
-        self.prune = bool(prune)
         self._informed_idx = None
         self._uninformed_idx = None
 
@@ -90,7 +85,7 @@ class FloodingProtocol(BroadcastProtocol):
             # Positions are frozen within the round, so agents informed
             # before this hop were already tested against every remaining
             # uninformed agent — only the fresh frontier can matter.
-            frontier = newly if self.prune else np.concatenate([frontier, newly])
+            frontier = newly
         self._uninformed_idx = uninformed
         if not newly_all:
             return np.empty(0, dtype=np.intp)
@@ -126,13 +121,9 @@ class BatchFloodingState(BatchBroadcastState):
         sources,
         backend: str = "auto",
         multi_hop: bool = False,
-        neighbor_options: dict = None,
         rngs=None,
     ):
-        super().__init__(
-            n, side, radius, sources,
-            rngs=rngs, backend=backend, neighbor_options=neighbor_options,
-        )
+        super().__init__(n, side, radius, sources, rngs=rngs, backend=backend)
         self.multi_hop = bool(multi_hop)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:
@@ -155,5 +146,5 @@ class BatchFloodingState(BatchBroadcastState):
                 break
             # Frontier hop: older sources were already tested against every
             # remaining uninformed agent at these same positions.
-            frontier = hits if self.prune else None
+            frontier = hits
         return newly_total

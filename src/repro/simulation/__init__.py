@@ -10,7 +10,6 @@ from repro.simulation.batch import (
     BatchSimulation,
     build_batch_model,
     build_batch_state,
-    run_flooding_batch,
     run_protocol_batch,
 )
 from repro.simulation.config import FloodingConfig, standard_config
@@ -21,15 +20,9 @@ from repro.simulation.checkpoint import (
     SweepCheckpoint,
     config_fingerprint,
 )
-from repro.simulation.parallel import WorkerPool, run_trials_parallel, sweep_parallel
+from repro.simulation.parallel import WorkerPool, run_trials_parallel
 from repro.simulation.results import FloodingResult, TrialSummary, summarize
 from repro.simulation.rng import make_rng, spawn_rngs, spawn_seeds
-# NOTE: the sweep *module* import must precede the runner import — both
-# bind the package attribute ``sweep`` (the submodule implicitly, the
-# legacy aggregation function explicitly), and the function is the public
-# API here.  Reach the module as ``repro.simulation.sweep`` via a direct
-# ``from repro.simulation.sweep import ...`` (or sys.modules), never via
-# the package attribute.
 from repro.simulation.sweep import (
     StoppingRule,
     SweepPlan,
@@ -42,7 +35,6 @@ from repro.simulation.runner import (
     build_protocol,
     run_flooding,
     run_trials,
-    sweep,
 )
 
 __all__ = [
@@ -52,7 +44,6 @@ __all__ = [
     "BatchSimulation",
     "build_batch_model",
     "build_batch_state",
-    "run_flooding_batch",
     "run_protocol_batch",
     "InformedRecorder",
     "ZoneRecorder",
@@ -65,8 +56,6 @@ __all__ = [
     "run_flooding",
     "run_trials",
     "run_trials_parallel",
-    "sweep",
-    "sweep_parallel",
     "StoppingRule",
     "SweepPlan",
     "SweepPoint",

@@ -53,7 +53,6 @@ __all__ = [
     "build_batch_model",
     "build_batch_state",
     "run_protocol_batch",
-    "run_flooding_batch",
 ]
 
 
@@ -108,7 +107,6 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
         sources,
         rngs=rngs,
         backend=config.backend,
-        neighbor_options=config.neighbor_options,
         **options,
     )
 
@@ -385,8 +383,3 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
         results.append(result)
     return results
 
-
-def run_flooding_batch(config: FloodingConfig, seed_seqs) -> list:
-    """Back-compat alias for :func:`run_protocol_batch` (pre-PR 3 name,
-    when flooding was the only batched protocol)."""
-    return run_protocol_batch(config, seed_seqs)

@@ -39,7 +39,7 @@ resume.
 :func:`config_fingerprint` is the canonical configuration identity shared
 with the sweep scheduler's dedup pass: the config's ``dataclasses.asdict``
 payload serialized with **sorted keys** (so dict-valued fields like
-``neighbor_options`` hash identically under key reordering) and SHA-256
+``mobility_options`` hash identically under key reordering) and SHA-256
 hashed.
 """
 
@@ -88,10 +88,10 @@ class CheckpointError(RuntimeError):
 def config_fingerprint(config: FloodingConfig) -> str:
     """SHA-256 of the canonical JSON serialization of a configuration.
 
-    Dict-valued fields (``mobility_options``, ``protocol_options``,
-    ``neighbor_options``) are serialized with sorted keys, so two configs
-    that differ only in dict insertion order — which compare equal and
-    must share sweep trials — produce the same fingerprint.  Used as the
+    Dict-valued fields (``mobility_options``, ``protocol_options``) are
+    serialized with sorted keys, so two configs that differ only in dict
+    insertion order — which compare equal and must share sweep trials —
+    produce the same fingerprint.  Used as the
     sweep scheduler's dedup key and as the checkpoint validity stamp.
     """
     payload = dataclasses.asdict(config)

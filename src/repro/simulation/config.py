@@ -71,13 +71,6 @@ class FloodingConfig:
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
         backend: neighbor-engine backend.
-        neighbor_options: tuning knobs for the neighbor subsystem —
-            ``incremental`` (persistent spatial indexes refreshed from
-            per-step displacements), ``prune`` (frontier source pruning),
-            ``cell_size`` (grid-engine bucket override).  All strategies
-            are exact, so these knobs never change results — only speed
-            (asserted by the parity tests; toggled by ``repro bench`` to
-            measure the PR 1 baseline).
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -98,7 +91,7 @@ class FloodingConfig:
             (0 — the default — runs all of a call's or worker's trials in
             one batch).  Has no effect on results, only on peak memory.
         kernels: hot-loop kernel tier — ``"numpy"`` (the vectorized
-            reference paths), ``"compiled"`` (loop kernels via numba or
+            reference paths), ``"compiled"`` (loop kernels from
             the bundled C extension; an explicit demand that raises at
             run time when no provider is available), or ``"auto"`` (the
             default: compiled when a provider exists, numpy otherwise).
@@ -119,7 +112,6 @@ class FloodingConfig:
     protocol_options: dict = field(default_factory=dict)
     init: str = "stationary"
     backend: str = "auto"
-    neighbor_options: dict = field(default_factory=dict)
     seed: int = 0
     threshold_factor: float = 3.0 / 8.0
     multi_hop: bool = False
@@ -177,9 +169,6 @@ class FloodingConfig:
                 f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use "
                 f"engine='scalar', or engine='auto' to fall back automatically"
             )
-        unknown = set(self.neighbor_options) - {"incremental", "prune", "cell_size"}
-        if unknown:
-            raise ValueError(f"unknown neighbor options: {sorted(unknown)}")
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")
         if self.kernels not in KERNEL_TIERS:
@@ -276,8 +265,8 @@ class FloodingConfig:
     def resolved_kernels(self) -> str:
         """The kernel tier that will actually run (``"numpy"``/``"compiled"``).
 
-        ``"auto"`` resolves against the cached provider probes (numba,
-        then the bundled C extension); an explicit ``"compiled"`` with no
+        ``"auto"`` resolves against the cached probe of the bundled C
+        extension; an explicit ``"compiled"`` with no
         provider available raises here rather than deep inside a run.
         """
         return resolve_kernel_tier(self.kernels)

@@ -12,9 +12,9 @@ layout).  With ``engine="batch"`` each process runs one **batch** per job —
 a contiguous slice of the trial sequence advanced in lock-step by
 :func:`repro.simulation.batch.run_protocol_batch` — so the vectorization
 win multiplies with the process fan-out instead of being sliced away.
-``sweep_parallel`` resolves the engine *per variant*: sweeping a parameter
-that flips an ``engine="auto"`` resolution (e.g. mobility native → ferry)
-dispatches each variant through its own engine, never the base config's.
+Parameter sweeps fan out through the sweep scheduler
+(:func:`repro.simulation.sweep.run_sweep` with ``jobs=``), which resolves
+the engine per point.
 
 **Fault tolerance.**  A single OOM-killed or segfaulted child used to
 raise :class:`~concurrent.futures.process.BrokenProcessPool` out of the
@@ -48,7 +48,6 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.simulation.config import FloodingConfig
-from repro.simulation.results import summarize
 from repro.simulation.runner import run_flooding
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "WorkerPool",
     "backoff_delays",
     "run_trials_parallel",
-    "sweep_parallel",
 ]
 
 #: Crash retries per job (after the first solo re-run) before quarantine.
@@ -411,42 +409,3 @@ def run_trials_parallel(
     )
     return [result for group in groups for result in group]
 
-
-def sweep_parallel(
-    config: FloodingConfig,
-    parameter: str,
-    values,
-    n_trials: int = 5,
-    max_workers: int = None,
-) -> list:
-    """Parallel version of :func:`repro.simulation.runner.sweep`.
-
-    All (value, trial) jobs share one process pool.  Each variant's jobs
-    follow the **variant's** resolved engine — batch-per-worker slices for
-    batch variants, one trial per job for scalar ones — so a sweep that
-    crosses an ``engine="auto"`` resolution boundary (e.g. a mobility
-    sweep from a native model to ferry) dispatches every variant through
-    the engine its own configuration resolves to.
-
-    Returns:
-        list of ``(value, TrialSummary, results)`` tuples, in input order.
-    """
-    values = list(values)
-    jobs = []
-    bounds = []
-    for value in values:
-        variant = config.with_options(**{parameter: value})
-        states = _child_states(variant, n_trials)
-        if variant.resolved_engine == "batch":
-            variant_jobs = _batch_jobs(variant, states, max_workers)
-        else:
-            variant_jobs = [(variant, [state]) for state in states]
-        start = len(jobs)
-        jobs.extend(variant_jobs)
-        bounds.append((value, start, start + len(variant_jobs)))
-    groups = _dispatch(_run_job, jobs, max_workers)
-    out = []
-    for value, start, end in bounds:
-        chunk = [result for group in groups[start:end] for result in group]
-        out.append((value, summarize(r.flooding_time for r in chunk), chunk))
-    return out

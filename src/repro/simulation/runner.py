@@ -3,11 +3,10 @@
 :func:`run_flooding` executes one fully-specified
 :class:`~repro.simulation.config.FloodingConfig` and returns a
 :class:`~repro.simulation.results.FloodingResult`.  :func:`run_trials`
-repeats it over independent seeds; :func:`sweep` varies one parameter and
-aggregates (delegating to the sweep scheduler,
-:mod:`repro.simulation.sweep`, which schedules whole experiment grids as
-batched, parallel work units) — the workhorses behind every flooding
-experiment and benchmark.
+repeats it over independent seeds — the workhorses behind every flooding
+experiment and benchmark.  Parameter sweeps go through the sweep
+scheduler (:func:`repro.simulation.sweep.run_sweep` with
+:meth:`~repro.simulation.sweep.SweepPlan.over_parameter`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.simulation.results import FloodingResult
 __all__ = [
     "run_flooding",
     "run_trials",
-    "sweep",
     "build_model",
     "build_protocol",
     "mobility_arguments",
@@ -89,11 +87,8 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
         raise ValueError(f"unknown protocol {config.protocol!r}")
     cls = PROTOCOL_REGISTRY[config.protocol]
     options = dict(config.protocol_options)
-    engine_options = dict(config.neighbor_options)
-    prune = engine_options.pop("prune", True)
     if cls is FloodingProtocol:
         options.setdefault("multi_hop", config.multi_hop)
-        options.setdefault("prune", prune)
     return cls(
         config.n,
         config.side,
@@ -101,7 +96,6 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
         source,
         rng=rng,
         backend=config.backend,
-        engine_options=engine_options,
         **options,
     )
 
@@ -224,20 +218,3 @@ def run_trials(config: FloodingConfig, n_trials: int, stopping=None) -> list:
         return out
     return [run_flooding(config, seed_seq=child) for child in children]
 
-
-def sweep(config: FloodingConfig, parameter: str, values, n_trials: int = 5) -> list:
-    """Vary one configuration field, running ``n_trials`` repetitions per value.
-
-    Since PR 4 this delegates to the sweep scheduler
-    (:func:`repro.simulation.sweep.run_sweep`) with the legacy call's
-    semantics (config's own engine, in-process execution) — same seed
-    schedule, bit-identical results, plus config deduplication for free.
-
-    Returns:
-        list of ``(value, TrialSummary, results)`` tuples, in input order,
-        where the summary aggregates flooding times.
-    """
-    from repro.simulation.sweep import SweepPlan, run_sweep
-
-    plan = SweepPlan.over_parameter(config, parameter, values, n_trials)
-    return [(point.key, point.summary, point.results) for point in run_sweep(plan)]

@@ -121,12 +121,12 @@ class TestBenchCommand:
         assert report["parity"]["ok"] is True
         assert report["baselines"] == {"pr1_batch": 1.0}
         assert "batch_vs_pr1_batch" in report["speedups"]
-        assert "batch_vs_legacy" in report["speedups"]
+        assert "batch_vs_scalar" in report["speedups"]
         kernel_names = {k["name"] for k in report["kernels"]}
         assert any(name.startswith("grid_index_") for name in kernel_names)
         assert any(name.startswith("batch_any_within_") for name in kernel_names)
         strategies = {row["name"] for row in report["end_to_end"]}
-        assert strategies == {"batch", "batch_legacy", "scalar"}
+        assert strategies == {"batch", "scalar"}
         for kernel in report["kernels"]:
             assert kernel["seconds"] > 0
             assert kernel["per_call"] > 0

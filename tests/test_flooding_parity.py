@@ -1,10 +1,9 @@
 """Seed-for-seed parity across every neighbor-subsystem strategy.
 
-The repo's core invariant: spatial-index strategy choices (incremental vs
-rebuild, frontier-pruned vs unpruned, grid vs KD-tree vs cell cover,
-scalar vs batch engine) are *performance* knobs — with fixed seeds every
-combination must produce identical trial results, down to the informed-at
-step of every agent.
+The repo's core invariant: spatial-index strategy choices (grid vs KD-tree
+vs brute force vs cell cover, scalar vs batch engine) are *performance*
+knobs — with fixed seeds every combination must produce identical trial
+results, down to the informed-at step of every agent.
 """
 
 import numpy as np
@@ -14,12 +13,7 @@ from repro.geometry.neighbors import BatchNeighborQuery, available_backends
 from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
 from repro.simulation import run_trials, standard_config
 
-OPTION_GRID = [
-    {},
-    {"incremental": False},
-    {"prune": False},
-    {"incremental": False, "prune": False},
-]
+ENGINES = ("scalar", "batch")
 
 
 def fingerprints(config, trials=4):
@@ -38,7 +32,7 @@ def fingerprints(config, trials=4):
 
 
 class TestStrategyParity:
-    """{incremental, rebuild} x {pruned, unpruned} x engines x mobility."""
+    """backends x engines x mobility."""
 
     @pytest.mark.parametrize(
         "mobility,mobility_options",
@@ -51,79 +45,66 @@ class TestStrategyParity:
             ("random-direction", {}),
         ],
     )
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_option_grid_is_invisible_in_results(self, mobility, mobility_options, engine):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_backend_and_engine_are_invisible_in_results(self, mobility, mobility_options, engine):
         base = standard_config(
-            90, seed=23, mobility=mobility,
-            mobility_options=dict(mobility_options), engine=engine,
+            90, seed=23, mobility=mobility, mobility_options=dict(mobility_options)
         )
-        reference = fingerprints(base)
-        for options in OPTION_GRID[1:]:
-            variant = base.with_options(neighbor_options=dict(options))
-            assert fingerprints(variant) == reference, (mobility, engine, options)
+        reference = fingerprints(base.with_options(engine="scalar"))
+        for backend in available_backends():
+            variant = base.with_options(backend=backend, engine=engine)
+            assert fingerprints(variant) == reference, (mobility, backend, engine)
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_backends_agree_across_option_grid(self, backend):
-        reference = None
-        for engine in ("scalar", "batch"):
-            for options in OPTION_GRID:
-                config = standard_config(
-                    70, seed=31, backend=backend, engine=engine,
-                    neighbor_options=dict(options),
-                )
-                got = fingerprints(config, trials=3)
-                if reference is None:
-                    reference = got
-                assert got == reference, (backend, engine, options)
+    def test_backends_agree_across_engines(self, backend):
+        reference = fingerprints(standard_config(70, seed=31, engine="scalar"), trials=3)
+        for engine in ENGINES:
+            config = standard_config(70, seed=31, backend=backend, engine=engine)
+            assert fingerprints(config, trials=3) == reference, (backend, engine)
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch"])
-    def test_multi_hop_frontier_parity(self, engine):
-        base = standard_config(80, seed=17, multi_hop=True, engine=engine)
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_multi_hop_frontier_parity(self, backend, engine):
+        """Hops >= 2 transmit from the fresh frontier only, in both engines."""
+        base = standard_config(80, seed=17, multi_hop=True, engine="scalar")
         reference = fingerprints(base)
-        for options in OPTION_GRID[1:]:
-            variant = base.with_options(neighbor_options=dict(options))
-            assert fingerprints(variant) == reference, options
+        variant = base.with_options(backend=backend, engine=engine)
+        assert fingerprints(variant) == reference, (backend, engine)
 
     def test_randomized_sweep_across_seeds(self):
-        """Randomized workloads: every strategy grid cell, many seeds."""
+        """Randomized workloads: every backend and engine, many seeds."""
         for seed in (1, 7, 101):
             reference = None
-            for engine in ("scalar", "batch"):
-                for options in OPTION_GRID:
+            for backend in available_backends():
+                for engine in ENGINES:
                     config = standard_config(
-                        60,
-                        seed=seed,
-                        radius_factor=1.2,
-                        engine=engine,
-                        neighbor_options=dict(options),
+                        60, seed=seed, radius_factor=1.2, backend=backend, engine=engine
                     )
                     got = fingerprints(config, trials=3)
                     if reference is None:
                         reference = got
-                    assert got == reference, (seed, engine, options)
+                    assert got == reference, (seed, backend, engine)
 
 
 class TestAdversarialStates:
     """Hand-built states that stress the kernels' boundary logic."""
 
-    def batch_hits(self, positions, informed, radius, side, **query_options):
+    def batch_hits(self, positions, informed, radius, side, backend="auto"):
         batch, n = informed.shape
-        query = BatchNeighborQuery(side, batch, **query_options)
+        query = BatchNeighborQuery(side, batch, backend)
         return query.any_within(positions, informed, ~informed, radius)
 
     def test_near_complete_informed_set(self, rng):
-        """informed ~ n: the frontier-pruned source set is tiny, results
-        must still match the unpruned kernel and brute force."""
+        """informed ~ n, a handful of stragglers: the cell cover must still
+        match the tiled grid engine and brute force."""
         batch, n, side, radius = 3, 200, 14.0, 1.5
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = np.ones((batch, n), dtype=bool)
         informed[:, :3] = False  # three stragglers per replica
         got = self.batch_hits(positions, informed, radius, side)
-        unpruned = self.batch_hits(
-            positions, informed, radius, side, incremental=False, prune=False
-        )
+        tiled = self.batch_hits(positions, informed, radius, side, backend="grid")
         brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, unpruned)
+        assert np.array_equal(got, tiled)
         assert np.array_equal(got, brute)
 
     def test_agents_on_cover_cell_boundaries(self):
@@ -150,10 +131,9 @@ class TestAdversarialStates:
         positions = rng.uniform(0, side, size=(2, 120, 2))
         informed = rng.uniform(size=(2, 120)) < 0.4
         for radius in (0.11, 0.5, 3.0):
-            for options in OPTION_GRID:
-                got = self.batch_hits(positions, informed, radius, side, **options)
-                brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-                assert np.array_equal(got, brute), (radius, options)
+            got = self.batch_hits(positions, informed, radius, side, backend="cells")
+            brute = self.batch_hits(positions, informed, radius, side, backend="brute")
+            assert np.array_equal(got, brute), radius
 
     def test_scalar_protocol_with_external_informed_surgery(self, rng):
         """The incremental index lists must resync when the informed mask
@@ -186,7 +166,11 @@ class TestAdversarialStates:
         assert np.array_equal(np.sort(newly), np.sort(expected))
 
     def test_batch_state_round_equals_scalar_round(self, rng):
-        """One communication round, same positions: batch rows == scalar."""
+        """One communication round, same positions: batch rows == scalar.
+
+        A multi-hop round, whose hops >= 2 transmit from the fresh frontier
+        only, must inform exactly the disk-graph components holding the
+        source (brute-force closure over every informed agent)."""
         n, side, radius = 150, 12.0, 1.3
         batch = 4
         positions = rng.uniform(0, side, size=(batch, n, 2))
@@ -203,3 +187,12 @@ class TestAdversarialStates:
                 protocol.step(positions[b])
                 assert np.array_equal(state.informed[b], protocol.informed), (b, multi_hop)
                 assert np.array_equal(state.informed_at[b], protocol.informed_at), (b, multi_hop)
+                if multi_hop:
+                    diff = positions[b][:, None, :] - positions[b][None, :, :]
+                    adjacent = np.sum(diff * diff, axis=-1) <= radius * radius
+                    reached = np.zeros(n, dtype=bool)
+                    reached[sources[b]] = True
+                    while not np.array_equal(grown := reached | adjacent[reached].any(0), reached):
+                        reached = grown
+                    assert np.array_equal(protocol.informed, reached), b
+

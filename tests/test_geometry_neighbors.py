@@ -101,7 +101,7 @@ class TestBoundSnapshot:
             assert np.array_equal(snapshot.count_within(source_idx, query_idx), expected_count)
 
     def test_snapshot_dense_sources_few_queries(self, backend, rng):
-        """The grid snapshot's full-index path (dense sources, few queries)."""
+        """Dense sources, few queries: the late rounds of a flooding run."""
         points = rng.uniform(0, 10, (200, 2))
         engine = make_engine(backend, 10.0)
         brute = BruteForceNeighborEngine(10.0)
@@ -120,11 +120,11 @@ class TestBoundSnapshot:
         assert snapshot.count_within(empty, some).tolist() == [0] * 5
         assert snapshot.any_within(some, empty).size == 0
 
-    def test_incremental_rounds_match_rebuild(self, backend, rng):
-        """Successive binds with drifting points: persistent-index engines
-        must agree with a fresh engine every round."""
+    def test_successive_binds_match_brute_force(self, backend, rng):
+        """Successive binds on one engine with drifting points: every round
+        must agree with brute force (no state leaks between snapshots)."""
         engine = make_engine(backend, 10.0)
-        fresh = make_engine(backend, 10.0, incremental=False) if backend == "grid" else engine
+        fresh = BruteForceNeighborEngine(10.0)
         points = rng.uniform(0, 10, (150, 2))
         for _ in range(6):
             points = np.clip(points + rng.uniform(-0.3, 0.3, points.shape), 0, 10)
@@ -133,6 +133,51 @@ class TestBoundSnapshot:
             got = engine.bind(points, 1.1).any_within(source_idx, query_idx)
             expected = fresh.bind(points, 1.1).any_within(source_idx, query_idx)
             assert np.array_equal(got, expected)
+
+    def assert_snapshots_agree(self, engine, points, radius, rng):
+        """Every snapshot primitive must agree with brute force."""
+        brute = BruteForceNeighborEngine(engine.side)
+        n = points.shape[0]
+        source_idx = np.nonzero(rng.uniform(size=n) < 0.5)[0]
+        query_idx = np.setdiff1d(np.arange(n), source_idx)
+        got = engine.bind(points, radius)
+        expected = brute.bind(points, radius)
+        assert np.array_equal(
+            got.any_within(source_idx, query_idx), expected.any_within(source_idx, query_idx)
+        )
+        assert np.array_equal(
+            got.count_within(source_idx, query_idx),
+            expected.count_within(source_idx, query_idx),
+        )
+        pairs = {tuple(sorted(p)) for p in got.pairs_within().tolist()}
+        assert pairs == {tuple(sorted(p)) for p in expected.pairs_within().tolist()}
+
+    def test_rebind_exact_when_points_cross_bucket_boundaries(self, backend, rng):
+        """Adversarial: points ping-ponging exactly across bucket edges
+        between binds of one engine."""
+        engine = make_engine(backend, 12.0)
+        edges = np.arange(1, 11, dtype=np.float64)
+        points = np.stack([edges, np.full(10, 5.0)], axis=1)
+        for offset in (-1e-9, 1e-9, -0.5, 0.5, 0.0):
+            moved = points.copy()
+            moved[:, 0] = edges + offset
+            self.assert_snapshots_agree(engine, moved, 1.0, rng)
+
+    def test_rebind_radius_close_to_bucket_side(self, backend, rng):
+        """Adversarial: radii straddling the grid bucket side (== radius
+        for the grid engine's default cell size)."""
+        engine = make_engine(backend, 12.0)
+        points = rng.uniform(0, 12.0, (120, 2))
+        for radius in (0.999, 1.0, 1.000001):
+            points = np.clip(points + rng.uniform(-0.3, 0.3, points.shape), 0, 12.0)
+            self.assert_snapshots_agree(engine, points, radius, rng)
+
+    def test_rebind_after_point_count_change(self, backend, rng):
+        """A snapshot carries nothing over: a bind with a different number
+        of points is exact too."""
+        engine = make_engine(backend, 12.0)
+        for n in (50, 70, 20):
+            self.assert_snapshots_agree(engine, rng.uniform(0, 12.0, (n, 2)), 1.0, rng)
 
 
 class TestCachesAndProbes:
@@ -175,10 +220,6 @@ class TestCachesAndProbes:
         other_idx = np.arange(10)
         snapshot.any_within(other_idx, query_idx)
         assert snapshot._memo[1] is not index_first
-
-    def test_make_engine_rejects_unknown_options(self):
-        with pytest.raises(ValueError, match="unknown engine options"):
-            make_engine("grid", 10.0, warp=True)
 
     def test_grid_memo_detects_in_place_mutation(self, rng):
         """Advancing a positions array *in place* between calls must not
@@ -334,3 +375,91 @@ class TestBatchContactsAndPairs:
             expected = set(zip(full_i[full_rep == b].tolist(), full_j[full_rep == b].tolist()))
             got = set(zip(i[rep == b].tolist(), j[rep == b].tolist()))
             assert got == expected
+
+
+class TestCellCoverLiveReplicas:
+    """The cell cover derives cell ids per call, on the replicas that
+    still have sources or queries only; retired replicas are never read."""
+
+    SIDE, BATCH, N = 9.0, 5, 70
+
+    def brute_hits(self, positions, sources, queries, radius):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        brute = BatchNeighborQuery(self.SIDE, self.BATCH, backend="brute")
+        return brute.any_within(positions, sources, queries, radius)
+
+    def test_live_row_cells_match_all_row_cells(self, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
+        snapshot = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells").bind(positions)
+        full, m = snapshot._cells_for(1.3, np.arange(self.BATCH))
+        rows = np.array([0, 3, 4])
+        live, m_live = snapshot._cells_for(1.3, rows)
+        assert m_live == m
+        assert np.array_equal(live[rows], full[rows])
+        # Global ids: replica b owns the id range [b * m^2, (b + 1) * m^2).
+        replica = np.arange(self.BATCH)[:, None]
+        assert np.all(full // (m * m) == replica)
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 2.5])
+    def test_retired_replicas_report_no_hits(self, radius, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
+        sources = rng.uniform(size=(self.BATCH, self.N)) < 0.3
+        queries = ~sources
+        retired = np.array([1, 2])
+        sources[retired] = False
+        queries[retired] = False
+        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        got = query.any_within(positions, sources, queries, radius)
+        assert not got[retired].any()
+        assert np.array_equal(got, self.brute_hits(positions, sources, queries, radius))
+
+    def test_source_only_and_query_only_replicas(self, rng):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
+        sources = rng.uniform(size=(self.BATCH, self.N)) < 0.4
+        queries = ~sources
+        queries[0] = False  # sources only: nothing to answer
+        sources[1] = False  # queries only: nothing can hit
+        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        got = query.any_within(positions, sources, queries, 1.2)
+        assert not got[:2].any()
+        assert np.array_equal(got, self.brute_hits(positions, sources, queries, 1.2))
+
+    def test_partial_replica_drift_across_binds(self, rng):
+        """Rounds where only some replicas move and others retire: every
+        bind must agree with brute force."""
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
+        informed = rng.uniform(size=(self.BATCH, self.N)) < 0.2
+        live = np.ones(self.BATCH, dtype=bool)
+        for t in range(6):
+            rows = np.nonzero(live)[0]
+            moved = positions[rows] + rng.uniform(-0.4, 0.4, size=positions[rows].shape)
+            positions = positions.copy()
+            positions[rows] = np.clip(moved, 0, self.SIDE)
+            sources = informed & live[:, None]
+            queries = ~informed & live[:, None]
+            got = query.bind(positions).any_within(sources, queries, 1.1)
+            assert np.array_equal(got, self.brute_hits(positions, sources, queries, 1.1)), t
+            informed |= got
+            live[t % self.BATCH] = False
+
+    def test_oversized_cover_grid_falls_back_to_tiling(self, rng, monkeypatch):
+        from repro.geometry.neighbors import BatchNeighborQuery
+
+        monkeypatch.setattr(BatchNeighborQuery, "_MAX_COVER_CELLS", 10)
+        positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
+        sources = rng.uniform(size=(self.BATCH, self.N)) < 0.3
+        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        snapshot = query.bind(positions)
+        assert snapshot._cells_for(1.0, np.arange(self.BATCH)) is None
+        got = snapshot.any_within(sources, ~sources, 1.0)
+        assert np.array_equal(got, self.brute_hits(positions, sources, ~sources, 1.0))

@@ -4,8 +4,8 @@ The tier's core contract is the same one the neighbor-backend suite
 enforces: ``kernels`` is a *performance* knob.  Every compiled kernel is
 bit-exact against its numpy path, so compiled and numpy runs of the same
 seeds must be indistinguishable down to the informed-at step of every
-agent — and every test here must stay green whether or not a compiled
-provider (numba or the bundled C extension) is actually available.
+agent — and every test here must stay green whether or not the compiled
+provider (the bundled C extension) actually builds.
 """
 
 import numpy as np
@@ -65,8 +65,7 @@ class TestRegistry:
         # The default kind still answers for the neighbor subsystem.
         assert "grid" in available_backends()
 
-    def test_escape_hatches_force_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_NUMBA", "1")
+    def test_escape_hatch_forces_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
         _reset_probe_cache_for_tests()
         try:
@@ -82,7 +81,6 @@ class TestRegistry:
             with pytest.raises(RuntimeError, match="compiled"):
                 run_trials(config, 1)
         finally:
-            monkeypatch.delenv("REPRO_NO_NUMBA")
             monkeypatch.delenv("REPRO_NO_CEXT")
             _reset_probe_cache_for_tests()
 
@@ -97,12 +95,7 @@ class TestRegistry:
     def test_tier_label_matches_backend(self):
         label = kernel_tier_label("auto")
         backend = kernel_backend()
-        if backend is None:
-            assert label == "numpy"
-        elif backend == "numba":
-            assert label.startswith("numba-")
-        else:
-            assert label == "cext"
+        assert label == ("numpy" if backend is None else "cext")
         assert kernel_tier_label("numpy") == "numpy"
 
 
@@ -313,41 +306,6 @@ class TestLegKernelParity:
 
 @pytest.mark.parametrize("table", [t for _, t in TABLES], ids=TABLE_IDS)
 class TestStructureKernelParity:
-    def test_grid_splice_matches_numpy_splice(self, table, rng):
-        for _ in range(20):
-            n = int(rng.integers(1, 40))
-            order = rng.permutation(n).astype(np.intp)
-            # Bucket ids may repeat (several points per bucket) and the new
-            # ids may collide with surviving ones — exactly the hard case.
-            sorted_ids = np.sort(rng.integers(0, 3 * n, size=n)).astype(np.intp)
-            removed = rng.random(n) < 0.3
-            n_new = int(rng.integers(0, 8))
-            new_ids = np.sort(rng.integers(0, 3 * n, size=n_new)).astype(np.intp)
-            new_pts = rng.integers(0, n, size=n_new).astype(np.intp)
-            got = table["grid_splice"](order, sorted_ids, removed, new_ids, new_pts)
-            assert got is not None
-            out_order, out_ids = got
-            keep = ~removed
-            kept_order = order[keep]
-            kept_ids = sorted_ids[keep]
-            insert_at = np.searchsorted(kept_ids, new_ids, side="left")
-            np.testing.assert_array_equal(
-                out_order, np.insert(kept_order, insert_at, new_pts)
-            )
-            np.testing.assert_array_equal(
-                out_ids, np.insert(kept_ids, insert_at, new_ids)
-            )
-
-    def test_occupancy_delta(self, table, rng):
-        counts = rng.integers(0, 5, size=20).astype(np.int64)
-        old = rng.integers(0, 20, size=12)
-        new = rng.integers(0, 20, size=12)
-        expect = counts.copy()
-        np.subtract.at(expect, old, 1)
-        np.add.at(expect, new, 1)
-        assert table["occupancy_delta"](counts, old, new) is True
-        np.testing.assert_array_equal(counts, expect)
-
     def test_union_fixpoint_min_labels(self, table, rng):
         for _ in range(15):
             n = int(rng.integers(1, 50))
@@ -429,11 +387,9 @@ class TestEndToEndParity:
         assert compiled == reference
 
     @needs_provider
-    @pytest.mark.parametrize("neighbor_options", [{}, {"incremental": False}, {"prune": False}])
-    def test_tier_is_invisible_across_neighbor_strategies(self, neighbor_options):
-        base = standard_config(
-            70, seed=7, engine="batch", neighbor_options=dict(neighbor_options)
-        )
+    @pytest.mark.parametrize("backend", ["auto"] + available_backends())
+    def test_tier_is_invisible_across_neighbor_strategies(self, backend):
+        base = standard_config(70, seed=7, engine="batch", backend=backend)
         assert fingerprints(base.with_options(kernels="compiled")) == fingerprints(
             base.with_options(kernels="numpy")
         )

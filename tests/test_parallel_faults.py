@@ -7,9 +7,9 @@ SIGKILL-inject through fork-inherited job payloads and assert the new
 contract: completed jobs keep their results, crashed jobs are retried solo
 on the deterministic backoff schedule, transient crashers recover
 bit-exactly, and persistent crashers are quarantined as poison jobs with
-an actionable error naming the job — plus the ``sweep_parallel`` engine
-dispatch regression (each variant must run through *its own* resolved
-engine, not the base config's).
+an actionable error naming the job — plus the sweep engine-dispatch
+regression (each point must run through *its own* resolved engine, not
+its neighbours').
 """
 
 import os
@@ -23,9 +23,9 @@ from repro.simulation.parallel import (
     WorkerPool,
     backoff_delays,
     run_trials_parallel,
-    sweep_parallel,
 )
 from repro.simulation.runner import run_trials
+from repro.simulation.sweep import SweepPlan, run_sweep
 
 
 # ----------------------------------------------------------------------
@@ -182,17 +182,17 @@ class TestPoisonQuarantine:
         ]
 
 
-class TestSweepParallelEngineDispatch:
-    """Regression: each variant runs through its OWN resolved engine.
+class TestSweepEngineDispatch:
+    """Regression: each sweep point runs through its OWN resolved engine.
 
-    The bug: ``sweep_parallel`` branched once on the *base* config's
+    The bug: the old parallel sweep branched once on the *base* config's
     ``resolved_engine``, so a sweep crossing an ``engine="auto"``
-    resolution boundary shipped every variant through the base config's
-    engine.  Every *built-in* mobility is batch-native since PR 9, so the
-    boundary is recreated the way a user-supplied scalar-only model would:
-    by removing ``ferry`` from ``BATCH_MOBILITY_REGISTRY`` for the test
-    (``max_workers=1`` keeps dispatch in-process, so both the registry
-    patch and the counting monkeypatches are visible to every call).
+    resolution boundary shipped every point through the base config's
+    engine.  Every *built-in* mobility is batch-native, so the boundary is
+    recreated the way a user-supplied scalar-only model would: by removing
+    ``ferry`` from ``BATCH_MOBILITY_REGISTRY`` for the test (``jobs=1``
+    keeps dispatch in-process, so both the registry patch and the counting
+    monkeypatches are visible to every call).
     """
 
     @staticmethod
@@ -204,11 +204,11 @@ class TestSweepParallelEngineDispatch:
     @staticmethod
     def _counting(monkeypatch):
         import repro.simulation.batch as batch_mod
-        import repro.simulation.parallel as parallel_mod
+        import repro.simulation.runner as runner_mod
 
         batch_calls, scalar_calls = [], []
         real_batch = batch_mod.run_protocol_batch
-        real_scalar = parallel_mod.run_flooding
+        real_scalar = runner_mod.run_flooding
 
         def counting_batch(config, seqs, **kwargs):
             batch_calls.append(config.mobility)
@@ -219,7 +219,7 @@ class TestSweepParallelEngineDispatch:
             return real_scalar(config, **kwargs)
 
         monkeypatch.setattr(batch_mod, "run_protocol_batch", counting_batch)
-        monkeypatch.setattr(parallel_mod, "run_flooding", counting_scalar)
+        monkeypatch.setattr(runner_mod, "run_flooding", counting_scalar)
         return batch_calls, scalar_calls
 
     def test_mobility_sweep_crossing_auto_boundary(self, monkeypatch):
@@ -228,14 +228,15 @@ class TestSweepParallelEngineDispatch:
         base = standard_config(
             60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="mrwp"
         )
-        out = sweep_parallel(base, "mobility", ["mrwp", "ferry"], n_trials=2, max_workers=1)
-        assert set(batch_calls) == {"mrwp"}  # the native-batch variant only
+        plan = SweepPlan.over_parameter(base, "mobility", ["mrwp", "ferry"], n_trials=2)
+        out = run_sweep(plan, jobs=1)
+        assert set(batch_calls) == {"mrwp"}  # the native-batch point only
         assert set(scalar_calls) == {"ferry"}  # ferry resolves to scalar
-        # And the results are the per-variant serial truth.
-        for value, _, results in out:
-            variant = base.with_options(mobility=value)
-            expected = run_trials(variant, 2)
-            assert [r.flooding_time for r in results] == [
+        assert [point.engine for point in out] == ["batch", "scalar"]
+        # And the results are the per-point serial truth.
+        for point in out:
+            expected = run_trials(base.with_options(mobility=point.key), 2)
+            assert [r.flooding_time for r in point.results] == [
                 r.flooding_time for r in expected
             ]
 
@@ -245,6 +246,7 @@ class TestSweepParallelEngineDispatch:
         base = standard_config(
             60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="ferry"
         )
-        sweep_parallel(base, "mobility", ["ferry", "rwp"], n_trials=2, max_workers=1)
+        plan = SweepPlan.over_parameter(base, "mobility", ["ferry", "rwp"], n_trials=2)
+        run_sweep(plan, jobs=1)
         assert set(scalar_calls) == {"ferry"}
         assert set(batch_calls) == {"rwp"}  # pre-fix: everything ran scalar

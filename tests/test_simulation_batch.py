@@ -15,12 +15,12 @@ from repro.mobility import (
 )
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
-    run_flooding_batch,
+    SweepPlan,
+    run_protocol_batch,
+    run_sweep,
     run_trials,
     run_trials_parallel,
     standard_config,
-    sweep,
-    sweep_parallel,
 )
 
 
@@ -77,13 +77,13 @@ class TestSeedForSeedParity:
         assert_results_match(whole, sliced)
 
     def test_sweep_with_batch_engine_matches_scalar(self):
-        config = standard_config(80, seed=5)
-        scalar = sweep(config, "radius", [3.0, 4.0], n_trials=3)
-        batch = sweep(config.with_options(engine="batch"), "radius", [3.0, 4.0], n_trials=3)
-        for (va, sa, ra), (vb, sb, rb) in zip(scalar, batch):
-            assert va == vb
-            assert sa == sb
-            assert_results_match(ra, rb)
+        plan = SweepPlan.over_parameter(standard_config(80, seed=5), "radius", [3.0, 4.0], 3)
+        scalar = run_sweep(plan, engine="scalar")
+        batch = run_sweep(plan, engine="batch")
+        for a, b in zip(scalar, batch):
+            assert a.key == b.key
+            assert a.summary == b.summary
+            assert_results_match(a.results, b.results)
 
     def test_batch_supports_every_registered_protocol(self):
         """PR 3: the batch engine is protocol-agnostic (the old behaviour
@@ -309,14 +309,16 @@ class TestShardingDeterminism:
         assert_results_match(scalar, parallel)
         assert_results_match(scalar, sharded)
 
-    def test_sweep_parallel_batch_matches_serial(self):
-        config = standard_config(80, seed=17, engine="batch")
-        serial = sweep(config, "radius", [3.0, 3.5], n_trials=4)
-        parallel = sweep_parallel(config, "radius", [3.0, 3.5], n_trials=4, max_workers=2)
-        for (va, sa, ra), (vb, sb, rb) in zip(serial, parallel):
-            assert va == vb
-            assert sa == sb
-            assert_results_match(ra, rb)
+    def test_parallel_sweep_batch_matches_serial(self):
+        plan = SweepPlan.over_parameter(
+            standard_config(80, seed=17, engine="batch"), "radius", [3.0, 3.5], 4
+        )
+        serial = run_sweep(plan, jobs=1)
+        parallel = run_sweep(plan, jobs=2)
+        for a, b in zip(serial, parallel):
+            assert a.key == b.key
+            assert a.summary == b.summary
+            assert_results_match(a.results, b.results)
 
     def test_repeated_calls_are_identical(self):
         config = standard_config(80, seed=19, engine="batch")
@@ -339,7 +341,7 @@ class TestConfigKnobs:
         assert config.engine == "scalar"
         assert config.batch_size == 0
 
-    def test_run_flooding_batch_requires_seed_seqs(self):
+    def test_run_protocol_batch_requires_seed_seqs(self):
         config = standard_config(50)
         with pytest.raises(ValueError, match="seed_seqs"):
-            run_flooding_batch(config, [])
+            run_protocol_batch(config, [])

@@ -8,7 +8,8 @@ import pytest
 from repro.core.flooding import select_source
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.results import FloodingResult, summarize
-from repro.simulation.runner import build_model, build_protocol, run_flooding, run_trials, sweep
+from repro.simulation.runner import build_model, build_protocol, run_flooding, run_trials
+from repro.simulation.sweep import SweepPlan, run_sweep
 
 QUICK = dict(n=300, side=15.0, radius=2.5, speed=0.5, max_steps=500, seed=1)
 
@@ -147,17 +148,17 @@ class TestTrialsAndSweep:
 
     def test_sweep_structure(self):
         config = FloodingConfig(**QUICK)
-        results = sweep(config, "radius", [2.0, 3.0], n_trials=2)
-        assert len(results) == 2
-        for value, summary, trials in results:
-            assert value in (2.0, 3.0)
-            assert summary.n_trials == 2
-            assert len(trials) == 2
+        points = run_sweep(SweepPlan.over_parameter(config, "radius", [2.0, 3.0], n_trials=2))
+        assert len(points) == 2
+        for point in points:
+            assert point.key in (2.0, 3.0)
+            assert point.summary.n_trials == 2
+            assert len(point.results) == 2
 
     def test_sweep_radius_monotone_tendency(self):
         config = FloodingConfig(**QUICK)
-        results = sweep(config, "radius", [2.0, 4.0], n_trials=3)
-        assert results[1][1].mean <= results[0][1].mean * 1.3
+        points = run_sweep(SweepPlan.over_parameter(config, "radius", [2.0, 4.0], n_trials=3))
+        assert points[1].summary.mean <= points[0].summary.mean * 1.3
 
 
 class TestSummarize:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.simulation.config import FloodingConfig, standard_config
+from repro.mobility import MODEL_REGISTRY, ManhattanRandomWaypoint
+from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, standard_config
 from repro.simulation.metrics import InformedRecorder
-from repro.simulation.runner import run_trials, sweep
+from repro.simulation.runner import run_trials
 from repro.simulation.sweep import SweepPlan, SweepPoint, run_sweep
 
 BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
@@ -27,6 +28,18 @@ def fingerprint(results):
         )
         for r in results
     ]
+
+
+#: A mobility model registered without a batch twin, as a user-supplied
+#: scalar-only model would be: ``engine="auto"`` resolves it to scalar.
+SCALAR_ONLY = "mrwp-scalar-only"
+
+
+@pytest.fixture()
+def scalar_only_mobility(monkeypatch):
+    monkeypatch.setitem(MODEL_REGISTRY, SCALAR_ONLY, ManhattanRandomWaypoint)
+    monkeypatch.setitem(_MOBILITY_OPTION_KEYS, SCALAR_ONLY, frozenset())
+    return SCALAR_ONLY
 
 
 def small_plan():
@@ -71,14 +84,26 @@ class TestParityAgainstHandLoop:
 
     @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_bit_identical_per_point(self, engine, jobs):
-        points = run_sweep(small_plan(), engine=engine, jobs=jobs)
-        assert [p.key for p in points] == ["base", "wide", "reseeded"]
-        for point, source in zip(points, small_plan().points):
-            expected = run_trials(source.config.with_options(engine=engine), source.n_trials)
+    def test_bit_identical_per_point(self, engine, jobs, scalar_only_mobility):
+        plan = small_plan()
+        # The engine-misdispatch regression: a point that resolves to a
+        # different engine than its neighbours must run through its own.
+        plan.add(BASE.with_options(mobility=scalar_only_mobility), 2, key="scalar-only")
+        points = run_sweep(plan, engine=engine, jobs=jobs)
+        assert [p.key for p in points] == ["base", "wide", "reseeded", "scalar-only"]
+        for point, source in zip(points, plan.points):
+            executed = source.config.with_options(engine=engine)
+            expected = run_trials(executed, source.n_trials)
             assert fingerprint(point.results) == fingerprint(expected), (engine, jobs, point.key)
             assert point.n_trials == source.n_trials == len(point.results)
-            assert point.engine in ("scalar", "batch")
+            assert point.engine == executed.resolved_engine
+            # Only a batch run of the scalar-only model replicates it.
+            replicated = ["mobility_execution" in r.extras for r in point.results]
+            assert replicated == [point.engine == "batch" and point.key == "scalar-only"] * len(
+                point.results
+            )
+        if engine == "auto":
+            assert [p.engine for p in points] == ["batch", "batch", "batch", "scalar"]
 
     def test_engine_none_keeps_config_engine(self):
         config = BASE.with_options(engine="batch")
@@ -92,21 +117,19 @@ class TestParityAgainstHandLoop:
         for a, b in zip(reference, sliced):
             assert fingerprint(a.results) == fingerprint(b.results)
 
-    def test_legacy_sweep_wrapper_unchanged(self):
-        out = sweep(BASE, "radius", [2.5, 3.5], n_trials=2)
-        assert [value for value, _, _ in out] == [2.5, 3.5]
-        for value, summary, results in out:
-            expected = run_trials(BASE.with_options(radius=value), 2)
-            assert fingerprint(results) == fingerprint(expected)
-            assert summary.n_trials == 2
+    def test_over_parameter_matches_hand_loop(self):
+        points = run_sweep(SweepPlan.over_parameter(BASE, "radius", [2.5, 3.5], n_trials=2))
+        assert [point.key for point in points] == [2.5, 3.5]
+        for point in points:
+            expected = run_trials(BASE.with_options(radius=point.key), 2)
+            assert fingerprint(point.results) == fingerprint(expected)
+            assert point.summary.n_trials == 2
 
 
 class TestDedup:
     def test_duplicate_configs_execute_once(self, monkeypatch):
         import sys
 
-        # The package attribute `repro.simulation.sweep` is the legacy
-        # aggregation *function*; the module lives in sys.modules.
         sweep_mod = sys.modules["repro.simulation.sweep"]
 
         calls = []

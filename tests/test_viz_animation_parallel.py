@@ -6,8 +6,10 @@ import pytest
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.protocols.flooding import FloodingProtocol
 from repro.simulation.config import FloodingConfig
-from repro.simulation.parallel import run_trials_parallel, sweep_parallel
-from repro.simulation.runner import run_trials, sweep
+from repro.simulation.parallel import run_trials_parallel
+from repro.simulation.results import summarize
+from repro.simulation.runner import run_trials
+from repro.simulation.sweep import SweepPlan, run_sweep
 from repro.viz.animation import record_flooding_frames, render_agents_frame
 
 SIDE = 15.0
@@ -88,9 +90,10 @@ class TestParallelRunner:
 
     def test_sweep_matches_serial(self):
         config = FloodingConfig(**QUICK)
-        serial = sweep(config, "radius", [2.0, 3.0], n_trials=2)
-        parallel = sweep_parallel(config, "radius", [2.0, 3.0], n_trials=2, max_workers=2)
-        for (v1, s1, r1), (v2, s2, r2) in zip(serial, parallel):
-            assert v1 == v2
-            assert s1.mean == s2.mean
-            assert [a.flooding_time for a in r1] == [a.flooding_time for a in r2]
+        plan = SweepPlan.over_parameter(config, "radius", [2.0, 3.0], n_trials=2)
+        for point in run_sweep(plan, jobs=2):
+            serial = run_trials(config.with_options(radius=point.key), 2)
+            assert point.summary.mean == summarize(r.flooding_time for r in serial).mean
+            assert [a.flooding_time for a in point.results] == [
+                a.flooding_time for a in serial
+            ]
