@@ -27,7 +27,7 @@ TRIALS = 32 if FULL else 12
 @pytest.fixture(scope="module")
 def reference_times():
     """Flooding times of the scalar engine, for cross-engine validation."""
-    config = standard_config(N, radius_factor=1.0, seed=42)
+    config = standard_config(N, radius_factor=1.0, seed=42, engine="scalar")
     return [r.flooding_time for r in run_trials(config, TRIALS)]
 
 

@@ -7,9 +7,9 @@ cycling, permanent recovery) save transmissions; this example measures the
 price in completion time and coverage over the same Manhattan MANET, and
 shows *where* the cheap protocols lose: the Suburb.
 
-Every variant runs through the **batch engine** (``engine="batch"``): all
+Every variant runs through the **batch engine** (the default): all
 trials of a protocol advance in lock-step, with per-replica RNG streams
-replaying the scalar engine draw-for-draw — so swapping ``engine="scalar"``
+replaying the scalar engine draw-for-draw — so adding ``engine="scalar"``
 below reproduces identical numbers, just slower.
 
 Run:  python examples/protocol_comparison.py
@@ -50,7 +50,6 @@ def main() -> int:
             protocol=protocol,
             protocol_options=options,
             seed=3,  # same seed for every variant: identical mobility traces
-            engine="batch",
         )
         results = run_trials(config, trials)
         summary = summarize(r.flooding_time for r in results)

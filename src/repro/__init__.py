@@ -6,23 +6,21 @@ simulation, the paper's closed-form distributions and bounds, the flooding
 protocol and baselines, and the experiment harness regenerating the paper's
 figure and validating every lemma and theorem empirically.
 
-Two execution engines share one seed schedule: the scalar
-:class:`~repro.simulation.engine.Simulation` (the reference, one trial at a
-time) and the vectorized :class:`~repro.simulation.batch.BatchSimulation`
-(``engine="batch"``), which advances every trial of a multi-trial run in
-lock-step over a ``(B, n, 2)`` position tensor and reproduces the scalar
-results trial-for-trial at fixed seeds.
+Every run goes through the vectorized
+:class:`~repro.simulation.batch.BatchSimulation`, which advances every
+trial of a multi-trial run in lock-step over a ``(B, n, 2)`` position
+tensor.  The scalar :class:`~repro.simulation.engine.Simulation` is the
+reference it must reproduce trial-for-trial at fixed seeds: the tests
+run it through :func:`~repro.simulation.runner.run_flooding` or
+``engine="scalar"``.
 
 Quickstart::
 
-    from repro import standard_config, run_flooding, run_trials
+    from repro import standard_config, run_trials
 
     config = standard_config(n=2000, seed=7)
-    result = run_flooding(config)
-    print(result.flooding_time, "steps; bound", config.upper_bound())
-
-    # Many trials, one vectorized pass (same results as engine="scalar"):
-    results = run_trials(config.with_options(engine="batch"), 32)
+    results = run_trials(config, 32)  # one vectorized pass
+    print(results[0].flooding_time, "steps; bound", config.upper_bound())
 
 See README.md for the full tour, DESIGN.md for the paper -> code map and
 the batch-engine design, and EXPERIMENTS.md for the per-experiment

@@ -23,8 +23,8 @@ with a stable schema:
 ``protocols`` / ``experiments`` / ``mobility``
     optional sections: per-protocol batch-vs-scalar timings over the
     ``protocol_baselines`` workload, the sweep-scheduler experiment
-    suite (quick-scale batch-vs-scalar per migrated experiment, rendered
-    reports compared for parity), and per-mobility-model batch-vs-scalar
+    suite (quick-scale timings plus an adaptive arm, verdict-parity
+    gated), and per-mobility-model batch-vs-scalar
     timings over the flooding workload (every registered model is
     batch-native since PR 9, ferry/composite/timetable included;
     seed-for-seed parity gated).
@@ -78,8 +78,7 @@ PROTOCOLS_SCALE = "quick"
 PROTOCOLS_SMOKE_N = 300
 
 #: The sweep-scheduler experiment suite (every experiment migrated onto
-#: :func:`repro.simulation.sweep.run_sweep`), timed at quick scale under
-#: both engines with table parity gating the run.
+#: :func:`repro.simulation.sweep.run_sweep`), timed at quick scale.
 EXPERIMENTS_SUITE_IDS = (
     "thm3_scaling",
     "thm3_radius",
@@ -347,18 +346,15 @@ def _protocol_variant_configs(smoke: bool, seed: int = 0) -> list:
     from repro.experiments.protocol_baselines import variant_configs
 
     out = []
-    for (label, batch_config, trials), (_, scalar_config, _) in zip(
-        variant_configs(PROTOCOLS_SCALE, seed, engine="batch"),
-        variant_configs(PROTOCOLS_SCALE, seed, engine="scalar"),
-    ):
+    for label, batch_config, trials in variant_configs(PROTOCOLS_SCALE, seed):
         if smoke:
             n = PROTOCOLS_SMOKE_N
             side = math.sqrt(n)
             radius = 1.4 * math.sqrt(math.log(n))
-            overrides = {"n": n, "side": side, "radius": radius, "speed": 0.25 * radius}
-            batch_config = batch_config.with_options(**overrides)
-            scalar_config = scalar_config.with_options(**overrides)
-        out.append((label, batch_config, scalar_config, trials))
+            batch_config = batch_config.with_options(
+                n=n, side=side, radius=radius, speed=0.25 * radius
+            )
+        out.append((label, batch_config, batch_config.with_options(engine="scalar"), trials))
     return out
 
 
@@ -430,25 +426,18 @@ def _bench_protocols(repeats: int, smoke: bool) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Experiments suite: the sweep-scheduler experiments, batch vs scalar
+# Experiments suite: the sweep-scheduler experiments and the adaptive arm
 # ----------------------------------------------------------------------
 def _bench_experiments(repeats: int, smoke: bool, seed: int = 0) -> tuple:
-    """Quick-scale batch-vs-scalar timings of the sweep-scheduler suite.
+    """Quick-scale timings of the sweep-scheduler suite.
 
-    Returns ``(section, parity)``.  Parity compares each experiment's full
-    rendered report (table, notes, artifacts, verdict) across engines —
-    the "identical tables before vs after migration" acceptance gate: the
-    scalar run *is* the pre-migration point-by-point computation (same
-    seed schedule), so auto == scalar means migrated == unmigrated.
-    Timing is best-of-``repeats`` interleaved, like every other suite;
-    parity gates the run, timing never does.
-
-    Experiments in :data:`EXPERIMENTS_ADAPTIVE_IDS` additionally run an
-    **adaptive arm** under :data:`ADAPTIVE_RULE` sequential stopping: the
-    parity gate there is *unchanged verdict* (the adaptive run's pass/fail
-    must match the fixed-budget run's) plus *no extra trials* (the
-    executed count, parsed from the experiment's adaptive note, never
-    exceeds the fixed budget) — the PR 6 acceptance criterion.
+    Returns ``(section, parity)``.  Each experiment is timed
+    best-of-``repeats``.  Experiments in :data:`EXPERIMENTS_ADAPTIVE_IDS`
+    additionally run an **adaptive arm** under :data:`ADAPTIVE_RULE`
+    sequential stopping: the parity gate there is *unchanged verdict* (the
+    adaptive run's pass/fail must match the fixed-budget run's) plus *no
+    extra trials* (the executed count, parsed from the experiment's
+    adaptive note, never exceeds the fixed budget).
     """
     from repro.experiments.registry import get_spec
     from repro.simulation.sweep import StoppingRule
@@ -456,40 +445,28 @@ def _bench_experiments(repeats: int, smoke: bool, seed: int = 0) -> tuple:
     ids = EXPERIMENTS_SMOKE_IDS if smoke else EXPERIMENTS_SUITE_IDS
     rows = []
     parity = {}
-    auto_total = scalar_total = 0.0
+    total = 0.0
     adaptive_total = 0.0
     adaptive_trials = fixed_trials = 0
     for eid in ids:
         spec = get_spec(eid)
-        auto_result = spec.run(scale="quick", seed=seed, engine="auto")
-        scalar_result = spec.run(scale="quick", seed=seed, engine="scalar")
-        parity[f"experiments:{eid}"] = auto_result.to_text() == scalar_result.to_text()
+        fixed = spec.run(scale="quick", seed=seed)
         best = _interleaved_best(
-            {
-                "auto": lambda s=spec: s.run(scale="quick", seed=seed, engine="auto"),
-                "scalar": lambda s=spec: s.run(scale="quick", seed=seed, engine="scalar"),
-            },
-            repeats,
+            {"fixed": lambda s=spec: s.run(scale="quick", seed=seed)}, repeats
         )
-        auto_total += best["auto"]
-        scalar_total += best["scalar"]
-        row = {
-            "id": eid,
-            "auto_seconds": best["auto"],
-            "scalar_seconds": best["scalar"],
-            "speedup": best["scalar"] / best["auto"],
-        }
+        total += best["fixed"]
+        row = {"id": eid, "seconds": best["fixed"]}
         if eid in EXPERIMENTS_ADAPTIVE_IDS:
             rule = StoppingRule(**ADAPTIVE_RULE)
             t0 = time.perf_counter()
-            adaptive = spec.run(scale="quick", seed=seed, engine="auto", stopping=rule)
+            adaptive = spec.run(scale="quick", seed=seed, stopping=rule)
             seconds = time.perf_counter() - t0
             match = _ADAPTIVE_NOTE.search("\n".join(adaptive.notes))
             executed, budget = (
                 (int(match.group(1)), int(match.group(2))) if match else (-1, -1)
             )
             parity[f"experiments:{eid}:adaptive"] = (
-                adaptive.passed == auto_result.passed
+                adaptive.passed == fixed.passed
                 and match is not None
                 and executed <= budget
             )
@@ -502,16 +479,14 @@ def _bench_experiments(repeats: int, smoke: bool, seed: int = 0) -> tuple:
                     "adaptive_trials": executed,
                     "fixed_trials": budget,
                     "adaptive_passed": adaptive.passed,
-                    "fixed_passed": auto_result.passed,
+                    "fixed_passed": fixed.passed,
                 }
             )
         rows.append(row)
     section = {
         "workload": {"scale": "quick", "seed": seed, "smoke": smoke, "ids": list(ids)},
         "experiments": rows,
-        "auto_total_seconds": auto_total,
-        "scalar_total_seconds": scalar_total,
-        "speedup": scalar_total / auto_total,
+        "total_seconds": total,
         "adaptive": {
             "rule": dict(ADAPTIVE_RULE),
             "ids": [eid for eid in ids if eid in EXPERIMENTS_ADAPTIVE_IDS],
@@ -533,7 +508,7 @@ def _mobility_variant_configs(smoke: bool, seed: int = 42) -> list:
     out = []
     for name, options in MOBILITY_MODELS:
         batch = standard_config(
-            n, radius_factor=1.0, seed=seed, mobility=name, engine="batch"
+            n, radius_factor=1.0, seed=seed, mobility=name
         )
         if options is None and name == "mrwp-speed":
             # A real per-trip range around the workload speed.
@@ -558,13 +533,8 @@ def _bench_mobility(repeats: int, smoke: bool) -> tuple:
 
     Returns ``(section, parity)``: the report's ``mobility`` section and the
     per-model seed-for-seed parity verdicts (parity gates the run, timing
-    never does).  Every registered model is batch-native since PR 9; the
-    ``native`` flag stays in the row schema so a user-registered model
-    without a batch twin (which would run through the replicated fallback
-    at ~1x) is still visible in the report.
+    never does).  Every registered model is batch-native.
     """
-    from repro.mobility import BATCH_MOBILITY_REGISTRY
-
     parity = {}
     rows = []
     batch_total = scalar_total = 0.0
@@ -584,7 +554,6 @@ def _bench_mobility(repeats: int, smoke: bool) -> tuple:
         rows.append(
             {
                 "model": name,
-                "native": name in BATCH_MOBILITY_REGISTRY,
                 "trials": trials,
                 "batch_seconds": best["batch"],
                 "scalar_seconds": best["scalar"],
@@ -845,7 +814,7 @@ def _zone_workload_simulation(n: int, batch: int, seed: int):
         build_batch_state,
     )
 
-    config = standard_config(n, seed=seed, engine="batch")
+    config = standard_config(n, seed=seed)
     seed_seqs = np.random.SeedSequence(seed).spawn(batch)
     mobility_rngs, protocol_rngs, source_rngs = [], [], []
     for seed_seq in seed_seqs:
@@ -1102,8 +1071,8 @@ def run_benchmarks(
             ``speedups['protocols_batch_vs_<name>']`` ratios against the
             protocol suite's batch total, and names ending in
             ``"_experiments"`` become
-            ``speedups['experiments_auto_vs_<name>']`` ratios against the
-            experiments suite's auto-engine total, and names ending in
+            ``speedups['experiments_vs_<name>']`` ratios against the
+            experiments suite's total, and names ending in
             ``"_mobility"`` become ``speedups['mobility_batch_vs_<name>']``
             ratios against the mobility suite's batch total; names
             containing ``":"`` are recorded verbatim with no derived ratio
@@ -1113,8 +1082,8 @@ def run_benchmarks(
         suite: ``"core"`` (the kernel + flooding end-to-end suite),
             ``"protocols"`` (every registered protocol, batch vs scalar,
             parity-gated), ``"experiments"`` (the sweep-scheduler
-            experiment suite at quick scale, batch vs scalar, table-parity
-            gated), ``"mobility"`` (per-mobility-model batch vs scalar
+            experiment suite at quick scale plus an adaptive arm,
+            verdict-parity gated), ``"mobility"`` (per-mobility-model batch vs scalar
             over the flooding workload, parity-gated), ``"network"``
             (the temporal-graph analytics workloads — incremental
             connectivity profiles, exact MST thresholds, batched journeys
@@ -1192,8 +1161,8 @@ def run_benchmarks(
                 )
         elif name.endswith("_experiments"):
             if experiments is not None:
-                speedups[f"experiments_auto_vs_{name}"] = (
-                    float(seconds) / experiments["auto_total_seconds"]
+                speedups[f"experiments_vs_{name}"] = (
+                    float(seconds) / experiments["total_seconds"]
                 )
         elif name.endswith("_mobility"):
             if mobility is not None:
@@ -1241,7 +1210,6 @@ def run_benchmarks(
     if experiments is not None:
         report["workloads"]["experiments"] = experiments["workload"]
         report["experiments"] = experiments
-        speedups["experiments_auto_vs_scalar"] = experiments["speedup"]
     if mobility is not None:
         report["workloads"]["mobility"] = mobility["workload"]
         report["mobility"] = mobility
@@ -1308,9 +1276,8 @@ def render_table(report: dict) -> str:
             f"trials={workload['trials']}):"
         )
         for row in mobility["models"]:
-            tag = "" if row["native"] else " (replicated)"
             lines.append(
-                f"  {row['model'] + tag:22s} batch {row['batch_seconds']:7.3f} s  "
+                f"  {row['model']:22s} batch {row['batch_seconds']:7.3f} s  "
                 f"scalar {row['scalar_seconds']:7.3f} s  {row['speedup']:5.2f}x"
             )
         lines.append(
@@ -1355,15 +1322,8 @@ def render_table(report: dict) -> str:
             f"seed={workload['seed']}):"
         )
         for row in experiments["experiments"]:
-            lines.append(
-                f"  {row['id']:22s} auto  {row['auto_seconds']:7.3f} s  "
-                f"scalar {row['scalar_seconds']:7.3f} s  {row['speedup']:5.2f}x"
-            )
-        lines.append(
-            f"  {'TOTAL':22s} auto  {experiments['auto_total_seconds']:7.3f} s  "
-            f"scalar {experiments['scalar_total_seconds']:7.3f} s  "
-            f"{experiments['speedup']:5.2f}x"
-        )
+            lines.append(f"  {row['id']:22s} {row['seconds']:7.3f} s")
+        lines.append(f"  {'TOTAL':22s} {experiments['total_seconds']:7.3f} s")
         adaptive = experiments.get("adaptive")
         if adaptive and adaptive["ids"]:
             lines.append(

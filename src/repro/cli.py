@@ -4,18 +4,18 @@ Subcommands:
 
 * ``list`` — show all registered experiments;
 * ``experiment <id> [--scale quick|full] [--seed N] [--csv PATH]
-  [--engine scalar|batch|auto] [--jobs N] [--adaptive] [--ci-width W]
+  [--jobs N] [--adaptive] [--ci-width W]
   [--min-trials N] [--max-trials N] [--checkpoint DIR] [--resume [DIR]]``
   (alias: ``run``) — run one experiment and print its report;
-  ``--engine``/``--jobs`` thread through to the sweep-scheduler
-  experiments (engine choice never changes results, only speed);
-  ``--adaptive`` switches those experiments to sequential stopping (stop
-  sampling a point once its CI is narrow enough — a bit-exact prefix of
-  the fixed-budget tables), and ``--checkpoint``/``--resume`` persist and
-  continue partial sweeps bit-exactly;
-* ``all [--scale ...] [--seed N] [--engine ...] [--jobs N] [--adaptive ...]``
-  — run the whole suite (engine/jobs/adaptive apply to the experiments
-  that support them);
+  ``--jobs`` fans the sweep-scheduler experiments out over processes
+  (never changes results, only speed); ``--adaptive`` switches those
+  experiments to sequential stopping (stop sampling a point once its CI
+  is narrow enough — a bit-exact prefix of the fixed-budget tables), and
+  ``--checkpoint``/``--resume`` persist and continue partial sweeps
+  bit-exactly;
+* ``all [--scale ...] [--seed N] [--jobs N] [--adaptive ...]``
+  — run the whole suite (jobs/adaptive apply to the experiments that
+  support them);
 * ``sweep --n N --parameter NAME --values V1 V2 ... [--trials T]
   [--adaptive ...] [--checkpoint DIR] [--resume [DIR]] [--workers N]
   [--lease-ttl SECONDS] [--max-retries N] [--csv PATH]`` —
@@ -28,13 +28,12 @@ Subcommands:
   invocations (one per host or terminal) to the same plan — a SIGKILLed
   worker costs one TTL, not the run, and the final tables stay identical
   to a solo run (``experiment``/``run`` take the same three flags);
-* ``flood --n N [--trials T] [--engine scalar|batch|auto] [--batch-size B]
+* ``flood --n N [--trials T] [--batch-size B]
   [--mobility NAME] [--mobility-options JSON] [--radius-factor C]
   [--speed-fraction F] ...`` — ad-hoc flooding runs with the canonical
-  ``L = sqrt n`` scaling; ``--engine batch`` advances all trials in
-  lock-step through the vectorized batch engine (same results, faster) —
-  every registered mobility model is batch-native, transit family
-  included; ``--mobility-options`` passes model options (e.g.
+  ``L = sqrt n`` scaling, all trials advanced in lock-step by the batch
+  engine (every registered protocol and mobility model, transit family
+  included); ``--mobility-options`` passes model options (e.g.
   ``'{"riders": 1990, "dwell": 2.0}'`` for ``--mobility timetable``);
   ``--kernels compiled|numpy|auto`` selects the compiled kernel tier for
   the hot loops (bit-exact by contract — tier changes speed, never
@@ -43,10 +42,10 @@ Subcommands:
   [--out PATH] [--repeats N] [--label TAG]`` — the perf-trajectory harness
   (:mod:`repro.bench`): kernel and end-to-end timings, the per-protocol
   batch-vs-scalar suite, the sweep-scheduler experiments suite
-  (quick-scale batch-vs-scalar per migrated experiment, table-parity
-  gated), the compiled-kernel-tier suite (per-kernel compiled vs numpy
-  micro-benchmarks plus the canonical end-to-end run, fingerprint-parity
-  gated, warm-path-only measurement asserted), and cross-strategy parity
+  (quick-scale timings per sweep experiment plus an adaptive arm,
+  verdict-parity gated), the compiled-kernel-tier suite (per-kernel
+  compiled vs numpy micro-benchmarks plus the canonical end-to-end run,
+  fingerprint-parity gated, warm-path-only measurement asserted), and cross-strategy parity
   checks, written as machine-readable JSON so future PRs can regress
   against it.  Exit status reflects **parity only**, never timing.
 """
@@ -58,11 +57,13 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from repro.experiments.registry import all_ids, get_spec, run_experiment
 from repro.mobility import MODEL_REGISTRY
 from repro.simulation.config import standard_config
 from repro.simulation.results import summarize
-from repro.simulation.runner import run_flooding, run_trials
+from repro.simulation.runner import run_trials
 from repro.simulation.sweep import SweepPlan, StoppingRule, run_sweep
 from repro.viz.csvout import write_csv
 
@@ -97,14 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list registered experiments")
 
-    def add_engine_jobs(p, scope: str):
-        p.add_argument(
-            "--engine",
-            choices=("scalar", "batch", "auto"),
-            default=None,
-            help=f"execution-engine override for {scope} (sweep-scheduler "
-            "experiments only; results are engine-independent, only speed changes)",
-        )
+    def add_jobs(p):
         p.add_argument(
             "--jobs",
             type=_positive_int,
@@ -206,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--csv", help="also write the result table to this CSV path")
-    add_engine_jobs(run_p, "the experiment")
+    add_jobs(run_p)
     add_adaptive(run_p)
     add_checkpoint(run_p)
 
     all_p = sub.add_parser("all", help="run every experiment")
     all_p.add_argument("--scale", choices=("quick", "full"), default="quick")
     all_p.add_argument("--seed", type=int, default=0)
-    add_engine_jobs(all_p, "every supporting experiment")
+    add_jobs(all_p)
     add_adaptive(all_p)
 
     sweep_p = sub.add_parser(
@@ -246,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "always funded, the rest flows to the neediest unfinished points",
     )
     sweep_p.add_argument("--csv", help="also write the sweep table to this CSV path")
-    add_engine_jobs(sweep_p, "the sweep")
+    add_jobs(sweep_p)
     add_adaptive(sweep_p)
     add_checkpoint(sweep_p)
 
@@ -264,27 +258,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent trials to run (default 1)",
     )
     flood_p.add_argument(
-        "--engine",
-        choices=("scalar", "batch", "auto"),
-        default="scalar",
-        help="trial execution engine: 'scalar' (reference, one trial at a time), "
-        "'batch' (vectorized lock-step over all trials; same results for every "
-        "registered protocol and mobility model), or 'auto' (batch when both "
-        "the protocol and the mobility model have native batch implementations)",
-    )
-    flood_p.add_argument(
         "--protocol",
         default="flooding",
-        help="broadcast protocol (any PROTOCOL_REGISTRY name; both engines "
-        "support all of them)",
+        help="broadcast protocol (any PROTOCOL_REGISTRY name)",
     )
     flood_p.add_argument(
         "--mobility",
         choices=sorted(MODEL_REGISTRY),
         default="mrwp",
-        help="mobility model (any MODEL_REGISTRY name; every registered "
-        "model runs natively vectorized under the batch engine, the "
-        "transit family ferry/composite/timetable included)",
+        help="mobility model (any MODEL_REGISTRY name, the transit family "
+        "ferry/composite/timetable included)",
     )
     flood_p.add_argument(
         "--mobility-options",
@@ -301,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=0,
-        help="trials per batch with --engine batch (0 = all in one batch)",
+        help="trials per batch (0 = all in one batch)",
     )
     add_kernels(flood_p)
 
@@ -320,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark suite: 'core' (kernels + flooding end-to-end), "
         "'protocols' (every registered protocol, batch vs scalar, "
         "parity-gated), 'experiments' (the sweep-scheduler experiment "
-        "suite at quick scale, batch vs scalar, table-parity gated), "
+        "suite at quick scale plus an adaptive arm, verdict-parity gated), "
         "'mobility' (per-mobility-model batch vs scalar, parity-gated), "
         "'network' (temporal-graph analytics: incremental connectivity "
         "profiles, exact MST thresholds, batched journeys and contact "
@@ -361,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_p.add_argument(
         "--only", nargs="*", default=None, help="subset of experiment ids"
     )
-    add_engine_jobs(report_p, "every supporting experiment")
+    add_jobs(report_p)
     return parser
 
 
@@ -414,8 +397,7 @@ def _cmd_run(args) -> int:
     checkpoint, resume = _checkpoint_from_args(args)
     try:
         result = run_experiment(
-            args.experiment, scale=args.scale, seed=args.seed,
-            engine=args.engine, jobs=args.jobs,
+            args.experiment, scale=args.scale, seed=args.seed, jobs=args.jobs,
             stopping=_stopping_from_args(args),
             checkpoint=checkpoint, resume=resume,
             workers=args.workers, lease_ttl=args.lease_ttl,
@@ -424,7 +406,7 @@ def _cmd_run(args) -> int:
     except PoisonJobError as error:
         raise SystemExit(f"poison job quarantined: {error}")
     except ValueError as error:
-        # e.g. --engine on a closed-form experiment with no scheduler path.
+        # e.g. --jobs on a closed-form experiment with no scheduler path.
         raise SystemExit(str(error))
     print(result.to_text())
     if args.csv:
@@ -438,21 +420,12 @@ def _cmd_all(args) -> int:
     failures = 0
     for experiment_id in all_ids():
         spec = get_spec(experiment_id)
-        try:
-            result = spec.run(
-                scale=args.scale,
-                seed=args.seed,
-                engine=args.engine if spec.accepts_engine else None,
-                jobs=args.jobs if spec.accepts_jobs else 1,
-                stopping=stopping if spec.accepts_stopping else None,
-            )
-        except ValueError as error:
-            # e.g. --engine batch on an observer-point experiment that can
-            # only run scalar: report it and keep the suite going.
-            print(f"== {experiment_id}: SKIPPED ({error}) ==")
-            print()
-            failures += 1
-            continue
+        result = spec.run(
+            scale=args.scale,
+            seed=args.seed,
+            jobs=args.jobs if spec.accepts_jobs else 1,
+            stopping=stopping if spec.accepts_stopping else None,
+        )
         print(result.to_text())
         print()
         if result.passed is False:
@@ -475,21 +448,23 @@ def _cmd_flood(args) -> int:
         protocol=args.protocol,
         mobility=args.mobility,
         mobility_options=args.mobility_options or {},
-        engine=args.engine,
         batch_size=args.batch_size,
         kernels=args.kernels,
     )
     print(config.describe())
-    if args.trials > 1 or config.resolved_engine == "batch":
+    if args.trials > 1:
         results = run_trials(config, args.trials)
         summary = summarize(r.flooding_time for r in results)
         completed = sum(r.completed for r in results)
-        print(f"engine: {config.resolved_engine} ({args.trials} trials)")
+        print(f"engine: {config.engine} ({args.trials} trials)")
         print(f"flooding time: {summary.format('steps')}")
         print(f"completed: {completed}/{args.trials}")
         print(f"Theorem 3 bound: {config.upper_bound():.1f}")
         return 0 if completed == args.trials else 1
-    result = run_flooding(config)
+    from repro.simulation.batch import run_protocol_batch
+
+    # One trial seeded by SeedSequence(seed) itself, as a single run always was.
+    (result,) = run_protocol_batch(config, [np.random.SeedSequence(config.seed)])
     print(f"flooding time: {result.flooding_time}")
     print(f"completed: {result.completed} (coverage {result.final_coverage:.3f})")
     if result.cz_completion_time is not None:
@@ -530,7 +505,6 @@ def _cmd_sweep(args) -> int:
     try:
         points = run_sweep(
             plan,
-            engine=args.engine or "auto",
             jobs=args.jobs,
             stopping=_stopping_from_args(args),
             checkpoint=checkpoint,
@@ -598,8 +572,7 @@ def _cmd_report(args) -> int:
     from repro.viz.report import write_report
 
     path = write_report(
-        args.out, scale=args.scale, seed=args.seed, experiment_ids=args.only,
-        engine=args.engine, jobs=args.jobs,
+        args.out, scale=args.scale, seed=args.seed, experiment_ids=args.only, jobs=args.jobs,
     )
     print(f"[report written to {path}]")
     return 0

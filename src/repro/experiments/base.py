@@ -97,27 +97,23 @@ class ExperimentSpec:
     """A registered, runnable experiment.
 
     Runners take ``(scale, seed)``; sweep-scheduler experiments additionally
-    accept ``engine`` (execution-engine override) and ``jobs`` (worker
-    processes) — :meth:`run` threads those through only when the runner's
-    signature accepts them, and refuses a non-default request otherwise.
+    accept ``jobs`` (worker processes) and the adaptive / checkpoint /
+    worker options — :meth:`run` threads those through only when the
+    runner's signature accepts them, and refuses a non-default request
+    otherwise.
     """
 
     id: str
     title: str
     paper_ref: str
     description: str
-    runner: object  # callable (scale, seed[, engine, jobs, stopping, ...]) -> ExperimentResult
+    runner: object  # callable (scale, seed[, jobs, stopping, ...]) -> ExperimentResult
 
     def _runner_accepts(self, name: str) -> bool:
         parameters = inspect.signature(self.runner).parameters
         return name in parameters or any(
             p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
         )
-
-    @property
-    def accepts_engine(self) -> bool:
-        """Whether the runner supports the ``engine`` override."""
-        return self._runner_accepts("engine")
 
     @property
     def accepts_jobs(self) -> bool:
@@ -143,7 +139,6 @@ class ExperimentSpec:
         self,
         scale: str = "quick",
         seed: int = 0,
-        engine: str | None = None,
         jobs: int = 1,
         stopping=None,
         checkpoint: str | None = None,
@@ -157,9 +152,6 @@ class ExperimentSpec:
         Args:
             scale: ``"quick"`` or ``"full"``.
             seed: root seed.
-            engine: optional execution-engine override (``"scalar"`` /
-                ``"batch"`` / ``"auto"``) for sweep-scheduler experiments;
-                results are engine-independent by construction.
             jobs: worker processes for sweep-scheduler experiments.
             stopping: optional
                 :class:`~repro.simulation.sweep.StoppingRule` — adaptive
@@ -177,15 +169,6 @@ class ExperimentSpec:
             max_retries: per-job crash retries before poison-job quarantine.
         """
         kwargs = {"scale": scale, "seed": seed}
-        # Only thread a *requested* engine through: runners keep their own
-        # defaults (e.g. protocol_baselines defaults to the batch engine).
-        if engine is not None:
-            if not self.accepts_engine:
-                raise ValueError(
-                    f"experiment {self.id!r} does not run through the sweep scheduler "
-                    "and has no engine selection"
-                )
-            kwargs["engine"] = engine
         if jobs not in (None, 1):
             if not self.accepts_jobs:
                 raise ValueError(

@@ -28,7 +28,7 @@ from repro.simulation.runner import run_trials
 EXPERIMENT_ID = "fault_tolerance"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "crash_probs": [0.0, 0.002, 0.01], "trials": 3},
@@ -51,7 +51,6 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
             protocol="crash-flooding",
             protocol_options={"crash_prob": crash_prob},
             seed=seed,  # same seed across rates -> same mobility traces
-            engine=engine,
         )
         results = run_trials(config, params["trials"])
         times = [r.flooding_time for r in results]
@@ -96,7 +95,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
             "graceful degradation: the Central Zone's path redundancy absorbs",
             "crashes (any uninformed-survivor mass concentrates in the Suburb;",
             "zeros in both columns mean full coverage despite the losses);",
-            f"identical mobility seeds across crash rates, {engine} engine.",
+            "identical mobility seeds across crash rates, batch engine.",
         ],
         passed=graceful,
     )

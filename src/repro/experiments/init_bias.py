@@ -25,7 +25,7 @@ from repro.simulation.sweep import SweepPlan, run_sweep
 EXPERIMENT_ID = "init_bias"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"agents": 8_000, "checkpoints": [0, 5, 20, 60], "n": 2_000, "trials": 3},
@@ -60,7 +60,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
         )
 
     # Flooding-time bias of the cold start, via the sweep scheduler (both
-    # init modes in one plan, batched through engine="auto" by default).
+    # init modes in one batched plan).
     n = params["n"]
     plan = SweepPlan()
     for init in ("stationary", "uniform"):
@@ -79,7 +79,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
         )
     flood_rows = []
     flood_means = {}
-    for point in run_sweep(plan, engine=engine or "auto", jobs=jobs):
+    for point in run_sweep(plan, jobs=jobs):
         flood_means[point.key] = point.summary.mean
         flood_rows.append(f"flooding time from {point.key} start: {point.summary.mean:.1f}")
 

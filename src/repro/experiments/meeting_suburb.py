@@ -9,8 +9,8 @@ and (b) the ``1/v`` scaling of meeting times.
 
 A sweep-scheduler cross-check runs live central-source flooding at each
 speed and reports the mean Suburb completion time next to the raw meeting
-medians — the protocol-level consequence of the lemma, batched through
-``engine="auto"``.
+medians — the protocol-level consequence of the lemma, on the batch
+engine.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from repro.simulation.sweep import SweepPlan, run_sweep
 EXPERIMENT_ID = "meeting_suburb"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "fractions": [0.25, 0.1], "window_factor": 40,
@@ -67,7 +67,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["flood_trials"],
             key=fraction,
         )
-    flood_points = {p.key: p for p in run_sweep(plan, engine=engine or "auto", jobs=jobs)}
+    flood_points = {p.key: p for p in run_sweep(plan, jobs=jobs)}
 
     rows = []
     medians = []

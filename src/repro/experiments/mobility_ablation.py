@@ -10,8 +10,7 @@ uniform-density models have no corner penalty.
 The five models are one sweep-scheduler plan; every arm (including the
 ``mrwp-speed`` random-speed variant, whose duration-biased stationary law
 shares Theorem 1's geometry) has a native batch mobility implementation,
-so ``engine="auto"`` runs the whole plan vectorized — results are
-engine-identical either way.
+so the whole plan runs vectorized on the batch engine.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ EXPERIMENT_ID = "mobility_ablation"
 _MODELS = ["mrwp", "rwp", "mrwp-speed", "random-walk", "random-direction"]
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "trials": 3},
@@ -63,7 +62,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=model_name,
         )
-    points = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    points = run_sweep(plan, jobs=jobs)
 
     rows = []
     means = {}

@@ -14,7 +14,7 @@ the earlier single hand-rolled run per pause, so the reported time is a
 mean with an explicit completed-trials count.  Since PR 5 the pause model
 is native in the batch engine
 (:class:`~repro.mobility.pause.BatchManhattanRandomWaypointWithPause`),
-so ``engine="auto"`` advances the whole pause grid in lock-step.
+so the batch engine advances the whole pause grid in lock-step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ EXPERIMENT_ID = "pause_extension"
 SIDE = 45.0
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"agents": 20_000, "flood_n": 2_000, "pauses": [0.0, 10.0, 40.0], "steps": 15,
@@ -75,7 +75,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=pause,
         )
-    flood_points = {p.key: p for p in run_sweep(plan, engine=engine or "auto", jobs=jobs)}
+    flood_points = {p.key: p for p in run_sweep(plan, jobs=jobs)}
 
     bins = 10
     rows = []

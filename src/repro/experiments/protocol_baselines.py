@@ -7,11 +7,10 @@ gossip (bounded fanout), parsimonious flooding (bounded active window,
 ref [3]), probabilistic flooding (duty cycling), and SIR epidemic
 (permanent recovery — may die out in the Suburb).
 
-Since PR 3 every variant runs through the **batch engine** at both scales
-(all trials of a variant in lock-step); the scalar path produces identical
-results (seed-for-seed parity, ``tests/test_protocol_batch_parity.py``)
-and remains selectable via ``run(..., engine="scalar")`` for the
-benchmark's speedup measurement.
+Every variant runs through the **batch engine** at both scales (all
+trials of a variant in lock-step); the scalar reference engine produces
+identical results (seed-for-seed parity,
+``tests/test_protocol_batch_parity.py``).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ _VARIANTS = [
 ]
 
 
-def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") -> list:
+def variant_configs(scale: str = "quick", seed: int = 0) -> list:
     """The experiment's ``(label, config, trials)`` workload, one entry per
     variant — shared with ``repro bench --suite protocols`` so the speedup
     measurement times exactly the experiment's configurations."""
@@ -62,7 +61,6 @@ def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") 
                 protocol=protocol,
                 protocol_options=options,
                 seed=seed,  # same seed -> same mobility/trial structure per variant
-                engine=engine,
             ),
             params["trials"],
         )
@@ -70,10 +68,10 @@ def variant_configs(scale: str = "quick", seed: int = 0, engine: str = "batch") 
     ]
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0) -> ExperimentResult:
     rows = []
     flooding_mean = None
-    for label, config, trials in variant_configs(scale, seed, engine):
+    for label, config, trials in variant_configs(scale, seed):
         results = run_trials(config, trials)
         summary = summarize(r.flooding_time for r in results)
         coverage = sum(r.final_coverage for r in results) / len(results)
@@ -112,7 +110,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str = "batch") -> Experimen
         notes=[
             "identical trial seeds across variants: differences are protocol-only;",
             "flooding lower-bounds every variant's completion time (slowdown >= 1);",
-            f"all variants executed by the {engine} engine (scalar-parity enforced in tests).",
+            "all variants executed by the batch engine (scalar-parity enforced in tests).",
         ],
         passed=flooding_fastest,
     )

@@ -45,7 +45,6 @@ def _spot_config(n, side, radius, speed, seed, max_steps=150_000):
 def run(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
     checkpoint: str | None = None,
@@ -103,7 +102,6 @@ def run(
     plan.add(_spot_config(n, side, r_sparse, 0.05 * r_sparse, seed + 3), trials, key="sp_slow")
     executed = run_sweep(
         plan,
-        engine=engine or "auto",
         jobs=jobs,
         stopping=stopping,
         checkpoint=checkpoint,

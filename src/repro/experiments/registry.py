@@ -63,7 +63,6 @@ def run_experiment(
     experiment_id: str,
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
     checkpoint: str | None = None,
@@ -74,7 +73,7 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one experiment by id.
 
-    ``engine`` / ``jobs`` / ``stopping`` / ``checkpoint`` / ``resume`` /
+    ``jobs`` / ``stopping`` / ``checkpoint`` / ``resume`` /
     ``workers`` / ``lease_ttl`` / ``max_retries`` thread through to
     sweep-scheduler experiments (see
     :meth:`~repro.experiments.base.ExperimentSpec.run`); requesting any of
@@ -83,7 +82,6 @@ def run_experiment(
     return get_spec(experiment_id).run(
         scale=scale,
         seed=seed,
-        engine=engine,
         jobs=jobs,
         stopping=stopping,
         checkpoint=checkpoint,
@@ -97,16 +95,15 @@ def run_experiment(
 def run_all(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
 ) -> list:
     """Run every registered experiment; returns the results in index order.
 
-    ``engine`` / ``jobs`` / ``stopping`` apply to the experiments that
-    support them (the sweep-scheduler suite) and are skipped for the rest —
-    a whole-suite run must not fail because closed-form experiments have no
-    engine knob.  Checkpoints are per-sweep (one directory per plan), so
+    ``jobs`` / ``stopping`` apply to the experiments that support them
+    (the sweep-scheduler suite) and are skipped for the rest — a
+    whole-suite run must not fail because closed-form experiments have no
+    scheduler.  Checkpoints are per-sweep (one directory per plan), so
     ``run_all`` deliberately has no checkpoint parameter.
     """
     results = []
@@ -116,7 +113,6 @@ def run_all(
             spec.run(
                 scale=scale,
                 seed=seed,
-                engine=engine if spec.accepts_engine else None,
                 jobs=jobs if spec.accepts_jobs else 1,
                 stopping=stopping if spec.accepts_stopping else None,
             )

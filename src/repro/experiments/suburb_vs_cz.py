@@ -8,9 +8,9 @@ agent currently in the Suburb is informed, for both source placements
 (Theorem 3's two cases), and report the Suburb/CZ ratio — the claim is that
 it stays O(1), not diverging.
 
-Both source placements are one sweep-scheduler plan (``engine="auto"``
-batch dispatch — the batch engine records the same per-zone completion
-times, seed-for-seed); tables match the pre-scheduler loop exactly.
+Both source placements are one sweep-scheduler plan on the batch engine
+(which records the same per-zone completion times as the scalar engine,
+seed-for-seed); tables match the pre-scheduler loop exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.simulation.sweep import SweepPlan, run_sweep
 EXPERIMENT_ID = "suburb_vs_cz"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "trials": 4},
@@ -53,7 +53,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=source_mode,
         )
-    points = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    points = run_sweep(plan, jobs=jobs)
 
     rows = []
     ratios = []

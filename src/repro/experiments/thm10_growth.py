@@ -9,8 +9,8 @@ both bounds.
 
 The trials run through the sweep scheduler as one multi-trial point with a
 per-trial :class:`~repro.core.spread.InformedCellTracker` observer
-(``observer_factory`` — observer points execute on the scalar engine,
-``jobs=`` still fans the trials out over processes), replacing the earlier
+(``observer_factory``, fed per replica by the batch engine's observer
+hook; ``jobs=`` fans the trials out over processes), replacing the earlier
 hand-rolled model/protocol loop; the seed schedule is the scheduler's
 standard ``SeedSequence(seed).spawn(trials)``.
 """
@@ -39,7 +39,7 @@ def _tracker_factory(config: FloodingConfig) -> list:
     return [InformedCellTracker(grid, zones)]
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 4_000, "radius_factor": 2.6, "trials": 3},
@@ -67,7 +67,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
     )
     plan = SweepPlan()
     plan.add(config, params["trials"], key="growth", observer_factory=_tracker_factory)
-    (point,) = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    (point,) = run_sweep(plan, jobs=jobs)
 
     rows = []
     checks = []

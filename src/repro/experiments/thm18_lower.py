@@ -14,16 +14,17 @@ Two measurements:
    geometric fact the simulator must respect, and its ``1/v`` scaling.
 
 The conditioned trial loop runs through the batch simulation engine and
-the sweep scheduler's worker machinery: with ``engine="batch"`` (the
-``"auto"`` default) each speed fraction's trials advance in lock-step as
-replicas of one :class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint`
-+ :class:`~repro.protocols.flooding.BatchFloodingState` pair, retiring a
+the sweep scheduler's worker machinery: each speed fraction's trials
+advance in lock-step as replicas of one
+:class:`~repro.mobility.mrwp.BatchManhattanRandomWaypoint` +
+:class:`~repro.protocols.flooding.BatchFloodingState` pair, retiring a
 replica the round its trapped agent is informed; ``jobs > 1`` fans the
 fractions over a crash-surviving
 :class:`~repro.simulation.parallel.WorkerPool`.  Per-trial seeding
 (``default_rng([seed, trial, fraction])``) and the batch engine's
-per-replica draw-order parity make every engine/jobs combination produce
-the identical table.
+per-replica draw-order parity make the table identical for every
+``jobs`` and equal to a plain scalar MRWP + flooding loop per trial
+(asserted by the tests).
 """
 
 from __future__ import annotations
@@ -34,22 +35,12 @@ import numpy as np
 
 from repro.core import theory
 from repro.experiments.base import ExperimentResult, ExperimentSpec, scale_params
-from repro.mobility.mrwp import BatchManhattanRandomWaypoint, ManhattanRandomWaypoint
+from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 from repro.mobility.stationary import PalmStationarySampler
-from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
+from repro.protocols.flooding import BatchFloodingState
 from repro.simulation.parallel import WorkerPool
 
 EXPERIMENT_ID = "thm18_lower"
-
-_ENGINES = ("auto", "batch", "scalar")
-
-
-def _resolve_engine(engine: str | None) -> str:
-    engine = engine or "auto"
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
-    return "batch" if engine == "auto" else engine
-
 
 def _event_probability(n: int, side: float, d: float, sampler, rng, trials: int) -> float:
     """Empirical probability of event B over stationary snapshots."""
@@ -107,7 +98,7 @@ def _fraction_trials(args) -> list:
     replays each replica's scalar draw sequence (retired replicas frozen),
     so the batch path returns bit-identical steps to the scalar loop.
     """
-    n, side, d, radius, fraction, speed, bound, trials, seed, engine = args
+    n, side, d, radius, fraction, speed, bound, trials, seed = args
     sampler = PalmStationarySampler(side)
     max_steps = int(8 * bound) + 200
     trial_rngs = [
@@ -116,23 +107,6 @@ def _fraction_trials(args) -> list:
     states = [_conditioned_state(n, side, d, sampler, rng) for rng in trial_rngs]
     # Source: the agent farthest (Chebyshev) from the corner.
     sources = [int(np.argmax(np.max(state.positions, axis=1))) for state in states]
-
-    if engine == "scalar":
-        informed_steps = []
-        for trial in range(trials):
-            model = ManhattanRandomWaypoint(
-                n, side, speed, rng=trial_rngs[trial], init=states[trial]
-            )
-            protocol = FloodingProtocol(n, side, radius, sources[trial], rng=trial_rngs[trial])
-            trapped_informed_at = math.inf
-            for step in range(1, max_steps + 1):
-                positions = model.step()
-                protocol.step(positions)
-                if protocol.informed[0]:
-                    trapped_informed_at = step
-                    break
-            informed_steps.append(trapped_informed_at)
-        return informed_steps
 
     model = BatchManhattanRandomWaypoint(n, side, speed, rngs=trial_rngs, init=states)
     protocol = BatchFloodingState(n, side, radius, sources)
@@ -152,7 +126,6 @@ def _fraction_trials(args) -> list:
 def run(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
 ) -> ExperimentResult:
     params = scale_params(
@@ -160,7 +133,6 @@ def run(
         quick={"n": 1_000, "fractions": [0.1, 0.05], "prob_trials": 800, "trials": 3},
         full={"n": 8_000, "fractions": [0.2, 0.1, 0.05, 0.025], "prob_trials": 4_000, "trials": 6},
     )
-    engine = _resolve_engine(engine)
     n = params["n"]
     side = math.sqrt(n)
     d = side / n ** (1.0 / 3.0)
@@ -180,7 +152,7 @@ def run(
         speed = fraction * radius
         bound = theory.flooding_lower_bound(n, side, radius, speed, d_constant=1.0)
         fraction_jobs.append(
-            (n, side, d, radius, fraction, speed, bound, params["trials"], seed, engine)
+            (n, side, d, radius, fraction, speed, bound, params["trials"], seed)
         )
     with WorkerPool(max_workers=jobs or 1) as pool:
         per_fraction_steps = pool.map(

@@ -6,8 +6,8 @@ time across radii, reports the bound alongside, and checks that the measured
 series is (noise-tolerantly) decreasing and stays above the trivial
 information-speed lower bound.
 
-Runs through the sweep scheduler (``engine="auto"`` batch dispatch,
-optional ``jobs=`` fan-out) with the same per-point seed schedule — and
+Runs through the sweep scheduler (batch engine, optional ``jobs=``
+fan-out) with the same per-point seed schedule — and
 therefore the same table — as the pre-scheduler loop.
 """
 
@@ -33,7 +33,6 @@ EXPERIMENT_ID = "thm3_radius"
 def run(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
     checkpoint: str | None = None,
@@ -67,7 +66,6 @@ def run(
         )
     points = run_sweep(
         plan,
-        engine=engine or "auto",
         jobs=jobs,
         stopping=stopping,
         checkpoint=checkpoint,

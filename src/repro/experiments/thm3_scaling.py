@@ -6,8 +6,8 @@ up to the log factor.  The sweep fits a power law to measured flooding
 times across ``n`` and checks the exponent lands near 1/2.
 
 The grid runs through the sweep scheduler
-(:func:`repro.simulation.sweep.run_sweep`): one plan, every point batched
-through ``engine="auto"`` by default, optional ``jobs=`` process fan-out —
+(:func:`repro.simulation.sweep.run_sweep`): one plan, every point on the
+batch engine, optional ``jobs=`` process fan-out —
 same seed schedule (and therefore the same table) as the pre-scheduler
 point-by-point loop.
 """
@@ -30,7 +30,6 @@ EXPERIMENT_ID = "thm3_scaling"
 def run(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
     checkpoint: str | None = None,
@@ -60,7 +59,6 @@ def run(
         )
     points = run_sweep(
         plan,
-        engine=engine or "auto",
         jobs=jobs,
         stopping=stopping,
         checkpoint=checkpoint,

@@ -11,8 +11,8 @@ The bound ``O(L/R + S/v)`` has two regimes, both probed here:
   flooding time fits ``a + b/v`` with ``b > 0`` — the paper's "flooding
   time must depend on v".
 
-Both panels ride a single sweep-scheduler plan (``engine="auto"`` batch
-dispatch, optional ``jobs=`` fan-out) with the pre-scheduler seed schedule
+Both panels ride a single sweep-scheduler plan (batch engine, optional
+``jobs=`` fan-out) with the pre-scheduler seed schedule
 — the sparse panel's long horizons are where the batching pays most.
 """
 
@@ -78,7 +78,6 @@ def _panel_rows(points, panel):
 def run(
     scale: str = "quick",
     seed: int = 0,
-    engine: str | None = None,
     jobs: int = 1,
     stopping=None,
     checkpoint: str | None = None,
@@ -108,7 +107,7 @@ def run(
     side = math.sqrt(n)
 
     # Both panels ride one sweep plan: the scheduler batches every point
-    # through engine="auto" and can fan the points out over processes.
+    # on the batch engine and can fan the points out over processes.
     dense_radius = params["dense_factor"] * math.sqrt(math.log(n))
     sparse_radius = params["sparse_radius_scale"] * side / n ** (1.0 / 3.0)
     plan = SweepPlan()
@@ -124,7 +123,6 @@ def run(
     )
     points = run_sweep(
         plan,
-        engine=engine or "auto",
         jobs=jobs,
         stopping=stopping,
         checkpoint=checkpoint,

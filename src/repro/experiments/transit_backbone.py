@@ -12,7 +12,7 @@ the same flooding workload under four regimes on one sweep plan:
 * ``timetable`` — scheduled vehicles with dwell and capacity, plus a
   rider population that boards/alights (the PR 9 timetable family).
 
-All four mobilities are batch-native, so ``engine="auto"`` vectorizes the
+All four mobilities are batch-native, so the batch engine vectorizes the
 whole plan; ``--jobs`` fans the arms out across processes.  The question
 the table answers: does a small scheduled backbone (~0.5% of agents)
 change flooding time at the paper's canonical density?  The measured
@@ -35,7 +35,7 @@ from repro.simulation.sweep import SweepPlan, run_sweep
 EXPERIMENT_ID = "transit_backbone"
 
 
-def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: int = 1) -> ExperimentResult:
+def run(scale: str = "quick", seed: int = 0, jobs: int = 1) -> ExperimentResult:
     params = scale_params(
         scale,
         quick={"n": 2_000, "radius_factor": 1.3, "trials": 3, "vehicles": 10},
@@ -83,7 +83,7 @@ def run(scale: str = "quick", seed: int = 0, engine: str | None = None, jobs: in
             params["trials"],
             key=key,
         )
-    points = run_sweep(plan, engine=engine or "auto", jobs=jobs)
+    points = run_sweep(plan, jobs=jobs)
 
     rows = []
     means = {}

@@ -3,7 +3,6 @@
 from repro.mobility.base import (
     BatchMobilityModel,
     MobilityModel,
-    ReplicatedBatchMobility,
     record_trajectory,
 )
 from repro.mobility.distributions import (
@@ -30,6 +29,7 @@ from repro.mobility.ferry import (
     batch_composite_with_ferries,
     composite_with_ferries,
     rectangle_route,
+    validate_composite_parameters,
 )
 from repro.mobility.mrwp import BatchManhattanRandomWaypoint, ManhattanRandomWaypoint
 from repro.mobility.pause import (
@@ -37,9 +37,10 @@ from repro.mobility.pause import (
     ManhattanRandomWaypointWithPause,
     moving_probability,
     spatial_pdf_with_pause,
+    validate_pause_parameters,
 )
 from repro.mobility.random_direction import BatchRandomDirection, RandomDirection
-from repro.mobility.random_walk import BatchRandomWalk, RandomWalk
+from repro.mobility.random_walk import BatchRandomWalk, RandomWalk, validate_walk_parameters
 from repro.mobility.rwp import BatchRandomWaypoint, RandomWaypoint
 from repro.mobility.speed_range import (
     BatchRandomSpeedManhattanWaypoint,
@@ -92,12 +93,19 @@ BATCH_MOBILITY_REGISTRY = {
 with :data:`MODEL_REGISTRY` (the batch counterpart of
 ``repro.protocols.BATCH_PROTOCOL_REGISTRY``; ``composite`` maps to a
 config-shaped factory).  Every batch entry is seed-for-seed bit-identical
-to its scalar sibling, and since PR 9 **every** scalar registry name has a
-native batch entry, so ``engine="auto"`` resolves every registered
-mobility to the batch engine.
-:class:`~repro.mobility.base.ReplicatedBatchMobility` remains only as the
-escape hatch for user-supplied scalar models registered without a batch
-twin."""
+to its scalar sibling, and **every** scalar registry name has a native
+batch entry.  A user-registered model without one runs only under
+``engine="scalar"`` (the batch engine refuses it at config time)."""
+
+MODEL_VALIDATORS = {
+    "mrwp-pause": validate_pause_parameters,
+    "random-walk": validate_walk_parameters,
+    "composite": validate_composite_parameters,
+}
+"""The parameter checks a model's constructors run, keyed like
+:data:`MODEL_REGISTRY` and called with the same arguments (minus the
+generator) — so :class:`~repro.simulation.config.FloodingConfig` rejects
+an invalid model configuration when it is built, not when the model is."""
 
 NO_INIT_MODELS = frozenset({"random-walk", "random-direction", "ferry"})
 """Registered models with no stationary-initialization vocabulary: their
@@ -108,7 +116,6 @@ config error rather than a silently dropped option."""
 __all__ = [
     "MobilityModel",
     "BatchMobilityModel",
-    "ReplicatedBatchMobility",
     "BatchManhattanRandomWaypoint",
     "BatchManhattanRandomWaypointWithPause",
     "BatchRandomSpeedManhattanWaypoint",
@@ -141,6 +148,7 @@ __all__ = [
     "grid_shuttle_timetable",
     "MODEL_REGISTRY",
     "BATCH_MOBILITY_REGISTRY",
+    "MODEL_VALIDATORS",
     "NO_INIT_MODELS",
     "KinematicState",
     "PalmStationarySampler",

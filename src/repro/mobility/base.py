@@ -19,8 +19,8 @@ The batch engine (DESIGN.md, "Batched execution") additionally needs
 independent trials in lock-step over a ``(B, n, 2)`` tensor.  Replica ``b``
 draws randomness only from its own generator, in exactly the order the
 scalar model would, so a batch run reproduces ``B`` scalar runs
-seed-for-seed.  Models without a native vectorized batch implementation are
-adapted through :class:`ReplicatedBatchMobility`.
+seed-for-seed.  A model without a batch twin runs only on the scalar
+engine.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "MobilityModel",
     "BatchMobilityModel",
-    "ReplicatedBatchMobility",
     "record_trajectory",
 ]
 
@@ -182,49 +181,6 @@ class BatchMobilityModel(abc.ABC):
             f"{type(self).__name__}(B={self.batch_size}, n={self.n}, "
             f"side={self.side}, speed={self.speed}, time={self.time})"
         )
-
-
-class ReplicatedBatchMobility(BatchMobilityModel):
-    """Batch adapter over ``B`` independent scalar models.
-
-    The fallback path of the batch engine: stepping is a Python loop, so
-    there is no vectorization win, but behaviour is bit-identical to the
-    scalar models by construction — any :class:`MobilityModel` becomes
-    batchable without a native implementation.
-
-    Args:
-        models: scalar mobility models, one per replica, all with the same
-            ``(n, side)`` geometry (each owning its per-trial generator).
-    """
-
-    def __init__(self, models):
-        models = list(models)
-        if not models:
-            raise ValueError("models must contain at least one mobility model")
-        first = models[0]
-        for model in models[1:]:
-            if model.n != first.n or model.side != first.side:
-                raise ValueError("all replica models must share n and side")
-        super().__init__(first.n, first.side, first.speed, [m.rng for m in models])
-        self.models = models
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.stack([model.positions for model in self.models], axis=0)
-
-    @property
-    def positions_view(self) -> np.ndarray:
-        # The per-replica stack is a fresh array either way; nothing to view.
-        return self.positions
-
-    def step(self, dt: float = 1.0, active=None, copy: bool = True) -> np.ndarray:
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        active = self._active_mask(active)
-        for b in np.nonzero(active)[0]:
-            self.models[b].step(dt)
-        self.time += dt
-        return self.positions  # already a fresh stack; `copy` adds nothing
 
 
 def record_trajectory(model: MobilityModel, steps: int, dt: float = 1.0) -> np.ndarray:

@@ -14,8 +14,7 @@ Since PR 9 the ferry is a thin specialization of the timetable family
 zero-dwell engine path reproduces the historical arc-length arithmetic bit
 for bit (asserted by a pinned regression test), and both models now have
 native batch twins — :class:`BatchFerryPatrol` and
-:class:`BatchCompositeMobility` — so nothing in this module needs the
-``ReplicatedBatchMobility`` fallback any more.
+:class:`BatchCompositeMobility`.
 """
 
 from __future__ import annotations
@@ -208,6 +207,15 @@ class BatchCompositeMobility(BatchMobilityModel):
         return self.positions if copy else self.positions_view
 
 
+def validate_composite_parameters(n: int, side: float, speed: float, ferries=1, **_options):
+    """Parameter checks of both composite factories, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if not 1 <= int(ferries) <= n - 2:
+        raise ValueError(
+            f"ferries must be in [1, n - 2] (need an MRWP background), got {int(ferries)}"
+        )
+
+
 def composite_with_ferries(
     n: int,
     side: float,
@@ -237,10 +245,7 @@ def composite_with_ferries(
     from repro.mobility.mrwp import ManhattanRandomWaypoint
 
     ferries = int(ferries)
-    if not 1 <= ferries <= n - 2:
-        raise ValueError(
-            f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
-        )
+    validate_composite_parameters(n, side, speed, ferries)
     background = ManhattanRandomWaypoint(n - ferries, side, speed, rng=rng, init=init)
     patrol = FerryPatrol(ferries, side, speed, inset=inset)
     return CompositeMobility([background, patrol])
@@ -264,10 +269,7 @@ def batch_composite_with_ferries(
     from repro.mobility.mrwp import BatchManhattanRandomWaypoint
 
     ferries = int(ferries)
-    if not 1 <= ferries <= n - 2:
-        raise ValueError(
-            f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
-        )
+    validate_composite_parameters(n, side, speed, ferries)
     background = BatchManhattanRandomWaypoint(n - ferries, side, speed, rngs, init=init)
     patrol = BatchFerryPatrol(ferries, side, speed, rngs)
     return BatchCompositeMobility([background, patrol])

@@ -67,6 +67,15 @@ def spatial_pdf_with_pause(x, y, side: float, speed: float, pause_time: float):
     return w * spatial_pdf(x, y, side) + (1.0 - w) * uniform
 
 
+def validate_pause_parameters(n: int, side: float, speed: float, pause_time=0.0, **_options):
+    """Parameter checks of both pause models, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if pause_time < 0:
+        raise ValueError(f"pause_time must be non-negative, got {pause_time}")
+    if speed <= 0:
+        raise ValueError("pause-MRWP requires positive speed")
+
+
 class ManhattanRandomWaypointWithPause(MobilityModel):
     """MRWP where agents rest ``pause_time`` time units at every way-point.
 
@@ -87,10 +96,7 @@ class ManhattanRandomWaypointWithPause(MobilityModel):
         init: str = "stationary",
     ):
         super().__init__(n, side, speed, rng)
-        if pause_time < 0:
-            raise ValueError(f"pause_time must be non-negative, got {pause_time}")
-        if speed <= 0:
-            raise ValueError("pause-MRWP requires positive speed")
+        validate_pause_parameters(n, side, speed, pause_time)
         self.pause_time = float(pause_time)
         self._eps = 1e-9 * max(self.side, 1.0)
         (
@@ -165,10 +171,7 @@ class BatchManhattanRandomWaypointWithPause(BatchMobilityModel):
         init: str = "stationary",
     ):
         super().__init__(n, side, speed, rngs)
-        if pause_time < 0:
-            raise ValueError(f"pause_time must be non-negative, got {pause_time}")
-        if speed <= 0:
-            raise ValueError("pause-MRWP requires positive speed")
+        validate_pause_parameters(n, side, speed, pause_time)
         self.pause_time = float(pause_time)
         self._eps = 1e-9 * max(self.side, 1.0)
         states = [

@@ -21,6 +21,17 @@ from repro.mobility.base import BatchMobilityModel, MobilityModel
 __all__ = ["RandomWalk", "BatchRandomWalk"]
 
 
+def validate_walk_parameters(n: int, side: float, move_radius: float, boundary="reflect"):
+    """Parameter checks of both random-walk models, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if move_radius <= 0:
+        raise ValueError(f"move_radius must be positive, got {move_radius}")
+    if move_radius > side:
+        raise ValueError(f"move_radius must not exceed side ({side}), got {move_radius}")
+    if boundary not in ("reflect", "clip"):
+        raise ValueError(f"boundary must be 'reflect' or 'clip', got {boundary!r}")
+
+
 class RandomWalk(MobilityModel):
     """Disk-jump random walk over ``[0, side]^2``.
 
@@ -43,12 +54,7 @@ class RandomWalk(MobilityModel):
         boundary: str = "reflect",
     ):
         super().__init__(n, side, speed=move_radius, rng=rng)
-        if move_radius <= 0:
-            raise ValueError(f"move_radius must be positive, got {move_radius}")
-        if move_radius > side:
-            raise ValueError(f"move_radius must not exceed side ({side}), got {move_radius}")
-        if boundary not in ("reflect", "clip"):
-            raise ValueError(f"boundary must be 'reflect' or 'clip', got {boundary!r}")
+        validate_walk_parameters(n, side, move_radius, boundary)
         self.move_radius = float(move_radius)
         self.boundary = boundary
         # Uniform is the stationary law for the reflected walk.
@@ -94,12 +100,7 @@ class BatchRandomWalk(BatchMobilityModel):
 
     def __init__(self, n: int, side: float, move_radius: float, rngs, boundary: str = "reflect"):
         super().__init__(n, side, speed=move_radius, rngs=rngs)
-        if move_radius <= 0:
-            raise ValueError(f"move_radius must be positive, got {move_radius}")
-        if move_radius > side:
-            raise ValueError(f"move_radius must not exceed side ({side}), got {move_radius}")
-        if boundary not in ("reflect", "clip"):
-            raise ValueError(f"boundary must be 'reflect' or 'clip', got {boundary!r}")
+        validate_walk_parameters(n, side, move_radius, boundary)
         self.move_radius = float(move_radius)
         self.boundary = boundary
         self._pos = np.concatenate(

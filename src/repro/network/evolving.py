@@ -134,23 +134,22 @@ def batch_temporal_bfs(
 
 
 def journey_times(
-    series: SnapshotSeries, sources, multi_hop: bool = False, engine: str = "auto"
+    series: SnapshotSeries, sources, multi_hop: bool = False, engine: str = "batch"
 ) -> np.ndarray:
     """Earliest informed times from each of several sources.
 
     Args:
-        engine: ``"batch"`` (one tiled query per step over all sources),
-            ``"scalar"`` (one :func:`temporal_bfs` sweep per source — the
-            reference), or ``"auto"`` (batch).  Both produce identical
-            times.
+        engine: ``"batch"`` (the default: one tiled query per step over
+            all sources) or ``"scalar"`` (one :func:`temporal_bfs` sweep per
+            source — the reference).  Both produce identical times.
 
     Returns:
         array of shape ``(len(sources), n)``.
     """
-    if engine in ("auto", "batch"):
+    if engine == "batch":
         return batch_temporal_bfs(series, sources, multi_hop=multi_hop)
     if engine != "scalar":
-        raise ValueError(f"engine must be 'auto', 'batch', or 'scalar', got {engine!r}")
+        raise ValueError(f"engine must be 'batch' or 'scalar', got {engine!r}")
     rows = [temporal_bfs(series, int(s), multi_hop=multi_hop) for s in sources]
     if not rows:
         return np.empty((0, series.n))

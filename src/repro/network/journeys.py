@@ -26,7 +26,7 @@ __all__ = [
 
 
 def delivery_delay_matrix(
-    series: SnapshotSeries, sources, multi_hop: bool = False, engine: str = "auto"
+    series: SnapshotSeries, sources, multi_hop: bool = False, engine: str = "batch"
 ) -> np.ndarray:
     """Delivery delays from each source to every agent.
 
@@ -44,7 +44,7 @@ def delivery_delay_matrix(
 
 
 def temporal_eccentricities(
-    series: SnapshotSeries, sources=None, multi_hop: bool = False, engine: str = "auto"
+    series: SnapshotSeries, sources=None, multi_hop: bool = False, engine: str = "batch"
 ) -> np.ndarray:
     """Flooding time from each source (== temporal eccentricity).
 
@@ -59,7 +59,7 @@ def temporal_eccentricities(
 
 
 def temporal_diameter(
-    series: SnapshotSeries, sources=None, multi_hop: bool = False, engine: str = "auto"
+    series: SnapshotSeries, sources=None, multi_hop: bool = False, engine: str = "batch"
 ) -> float:
     """Max journey time over (sampled) source/destination pairs.
 
@@ -75,7 +75,7 @@ def delay_statistics(
     n_pairs: int,
     rng: np.random.Generator,
     multi_hop: bool = False,
-    engine: str = "auto",
+    engine: str = "batch",
 ) -> dict:
     """Delivery-delay distribution over random source/destination pairs.
 

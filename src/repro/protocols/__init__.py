@@ -44,7 +44,7 @@ BATCH_PROTOCOL_REGISTRY = {
     "crash-flooding": BatchCrashFaultState,
 }
 """Name -> batched state mapping; a protocol listed here runs under
-``engine="batch"`` (and is what ``engine="auto"`` keys off)."""
+``engine="batch"``, the default."""
 
 __all__ = [
     "BroadcastProtocol",

@@ -6,17 +6,15 @@ becomes informed at step ``t`` iff some informed agent is within distance
 informed — lower-bounds every broadcast protocol and plays the role of the
 diameter in static networks.
 
-Both implementations exploit two structural facts of flooding (DESIGN.md,
-"Bound snapshots and the batched cell cover"):
-
-* the informed set is **monotone**, so the uninformed/informed index lists
-  are maintained incrementally instead of re-scanning the boolean mask
-  every hop;
-* positions are **frozen within a round**, so hop ``k >= 2`` of a
-  multi-hop exchange only needs the agents informed at hop ``k - 1`` as
-  sources — every older source was already tested against a superset of
-  the still-uninformed queries at the same positions.  The per-round
-  engine state is shared across hops through the bound-snapshot API.
+The scalar :class:`FloodingProtocol` is the plain reference: every hop
+re-derives the informed and uninformed index lists from the boolean mask
+and tests all informed agents against all uninformed ones.  The batch
+state exploits that positions are **frozen within a round**: hop
+``k >= 2`` of a multi-hop exchange only needs the agents informed at hop
+``k - 1`` as sources — every older source was already tested against a
+superset of the still-uninformed queries at the same positions (DESIGN.md,
+"Bound snapshots and the batched cell cover").  The parity tests hold the
+two to the same informed-at step for every agent.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ class FloodingProtocol(BroadcastProtocol):
             informed during this step do not retransmit until the next).
             When True, the message saturates entire connected components of
             the current snapshot within the step ("infinite bandwidth"
-            comparison mode).  Hops ``>= 2`` of a multi-hop round
-            transmit from the just-informed frontier only.
+            comparison mode).
     """
 
     name = "flooding"
@@ -45,53 +42,26 @@ class FloodingProtocol(BroadcastProtocol):
     def __init__(self, *args, multi_hop: bool = False, **kwargs):
         super().__init__(*args, **kwargs)
         self.multi_hop = bool(multi_hop)
-        self._informed_idx = None
-        self._uninformed_idx = None
-
-    def _index_lists(self) -> tuple:
-        """Incremental informed/uninformed index lists (re-derived from the
-        boolean mask only when they drifted, e.g. after external state
-        surgery in tests).  The membership scan catches count-preserving
-        surgery too (a moved informed bit), and costs one boolean gather —
-        far less than the ``nonzero`` scans it avoids."""
-        count = self.informed_count
-        if (
-            self._informed_idx is None
-            or self._informed_idx.size != count
-            or self._uninformed_idx.size != self.n - count
-            or not self.informed[self._informed_idx].all()
-        ):
-            self._informed_idx = np.nonzero(self.informed)[0]
-            self._uninformed_idx = np.nonzero(~self.informed)[0]
-        return self._informed_idx, self._uninformed_idx
 
     def _exchange(self, positions: np.ndarray) -> np.ndarray:
-        informed_idx, uninformed = self._index_lists()
+        uninformed = np.nonzero(~self.informed)[0]
         if uninformed.size == 0:
             return np.empty(0, dtype=np.intp)
         snapshot = self.engine.bind(positions, self.radius)
-        frontier = informed_idx
         newly_all = []
         while uninformed.size:
-            hits = snapshot.any_within(frontier, uninformed)
+            hits = snapshot.any_within(np.nonzero(self.informed)[0], uninformed)
             newly = uninformed[hits]
             if newly.size == 0:
                 break
             self._mark_informed(newly)
             newly_all.append(newly)
-            uninformed = uninformed[~hits]
             if not self.multi_hop:
                 break
-            # Positions are frozen within the round, so agents informed
-            # before this hop were already tested against every remaining
-            # uninformed agent — only the fresh frontier can matter.
-            frontier = newly
-        self._uninformed_idx = uninformed
+            uninformed = np.nonzero(~self.informed)[0]
         if not newly_all:
             return np.empty(0, dtype=np.intp)
-        newly_cat = np.concatenate(newly_all) if len(newly_all) > 1 else newly_all[0]
-        self._informed_idx = np.concatenate([informed_idx, newly_cat])
-        return newly_cat
+        return np.concatenate(newly_all)
 
 
 class BatchFloodingState(BatchBroadcastState):

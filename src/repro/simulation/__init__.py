@@ -1,9 +1,8 @@
 """Simulation engine: configs, seeded runs, multi-trial aggregation.
 
-Two execution engines share one seed schedule: the scalar
-:class:`Simulation` (the reference, one trial at a time) and the vectorized
-:class:`BatchSimulation` (``engine="batch"`` — B trials in lock-step,
-identical results, much faster for multi-trial workloads).
+Every production run goes through the vectorized :class:`BatchSimulation`
+(B trials in lock-step); the scalar :class:`Simulation` (one trial at a
+time, ``engine="scalar"``) is the reference it reproduces seed for seed.
 """
 
 from repro.simulation.batch import (

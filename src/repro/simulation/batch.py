@@ -28,6 +28,11 @@ no longer progress (parsimonious window close, SIR die-out, crash-fault
 starvation) — freezing their state and generators exactly where the scalar
 loop would have stopped.  The scalar engine remains the reference
 implementation.
+
+Per-trial observers (the :class:`~repro.simulation.engine.Simulation`
+observer protocol) attach per replica: each sees its own replica's
+positions and a :class:`ReplicaView` of its informed state, only while
+that replica is live — the same calls the scalar loop makes.
 """
 
 from __future__ import annotations
@@ -38,18 +43,15 @@ import numpy as np
 
 from repro.core.flooding import build_zone_partition, select_source
 from repro.kernels import get_kernel, kernel_tier_label, use_kernel_tier
-from repro.mobility import (
-    BATCH_MOBILITY_REGISTRY,
-    BatchMobilityModel,
-    ReplicatedBatchMobility,
-)
+from repro.mobility import BATCH_MOBILITY_REGISTRY, BatchMobilityModel
 from repro.protocols import BATCH_PROTOCOL_REGISTRY
 from repro.protocols.base import BatchBroadcastState
-from repro.simulation.config import FloodingConfig
+from repro.simulation.config import FloodingConfig, mobility_arguments
 from repro.simulation.results import FloodingResult
 
 __all__ = [
     "BatchSimulation",
+    "ReplicaView",
     "build_batch_model",
     "build_batch_state",
     "run_protocol_batch",
@@ -59,25 +61,15 @@ __all__ = [
 def build_batch_model(config: FloodingConfig, rngs) -> BatchMobilityModel:
     """Instantiate the batch mobility model named by the configuration.
 
-    Every model in :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY` gets its
-    native vectorized implementation (same constructor arguments as the
-    scalar model, via :func:`~repro.simulation.runner.mobility_arguments`).
-    All *registered* mobility names are batch-native; the
-    :class:`~repro.mobility.base.ReplicatedBatchMobility` branch survives
-    only as the escape hatch for user-supplied scalar models registered
-    without a batch twin — correct (bit-identical to the scalar models) but
-    not faster, and flagged in every replica's results so slow paths stay
-    visible.
+    A registry lookup in :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY`
+    (same constructor arguments as the scalar model, via
+    :func:`~repro.simulation.config.mobility_arguments`).
 
     Args:
         config: the experiment parameters.
         rngs: one mobility generator per trial (defines the batch size).
     """
-    from repro.simulation.runner import build_model, mobility_arguments
-
-    cls = BATCH_MOBILITY_REGISTRY.get(config.mobility)
-    if cls is None:
-        return ReplicatedBatchMobility([build_model(config, rng) for rng in rngs])
+    cls = BATCH_MOBILITY_REGISTRY[config.mobility]
     args, kwargs = mobility_arguments(config)
     return cls(config.n, config.side, *args, rngs=rngs, **kwargs)
 
@@ -93,8 +85,7 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
     if config.protocol not in BATCH_PROTOCOL_REGISTRY:
         raise ValueError(
             f"protocol {config.protocol!r} has no batched implementation; "
-            f"supported: {sorted(BATCH_PROTOCOL_REGISTRY)} "
-            f"(use engine='scalar' or engine='auto')"
+            f"supported: {sorted(BATCH_PROTOCOL_REGISTRY)} (use engine='scalar')"
         )
     cls = BATCH_PROTOCOL_REGISTRY[config.protocol]
     options = dict(config.protocol_options)
@@ -111,6 +102,28 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
     )
 
 
+class ReplicaView:
+    """Replica ``b`` of a batched protocol state, shaped for observers.
+
+    Exposes what the scalar protocol offers an observer — the replica's
+    ``informed`` mask (a row view) and ``informed_count`` — so an
+    observer written for :class:`~repro.simulation.engine.Simulation`
+    runs unchanged under :class:`BatchSimulation`.
+    """
+
+    def __init__(self, state: BatchBroadcastState, b: int):
+        self._state = state
+        self._b = b
+
+    @property
+    def informed(self) -> np.ndarray:
+        return self._state.informed[self._b]
+
+    @property
+    def informed_count(self) -> int:
+        return int(np.count_nonzero(self.informed))
+
+
 class BatchSimulation:
     """Drive ``B`` protocol replicas over a batch mobility process.
 
@@ -125,6 +138,13 @@ class BatchSimulation:
         protocol: batched informed state, sized for the same batch/agents.
         zones: optional :class:`~repro.core.zones.ZonePartition` — enables
             Central-Zone/Suburb completion tracking.
+        observers: optional per-replica observer lists (one list per
+            replica, the :class:`~repro.simulation.engine.Simulation`
+            observer protocol).  Replica ``b``'s observers get
+            ``start(positions[b], view)`` before the first step and
+            ``observe(t, positions[b], view, newly)`` after every step
+            replica ``b`` is live for, with ``view`` a
+            :class:`ReplicaView` and ``newly`` the newly informed indices.
 
     Attributes:
         n_steps: ``(B,)`` steps actually simulated per replica.
@@ -139,7 +159,9 @@ class BatchSimulation:
             source at time 0 (only when ``zones`` is set).
     """
 
-    def __init__(self, model: BatchMobilityModel, protocol: BatchBroadcastState, zones=None):
+    def __init__(
+        self, model: BatchMobilityModel, protocol: BatchBroadcastState, zones=None, observers=None
+    ):
         if protocol.n != model.n:
             raise ValueError(
                 f"protocol state is sized for {protocol.n} agents but the model has {model.n}"
@@ -149,9 +171,14 @@ class BatchSimulation:
                 f"protocol state has {protocol.batch_size} replicas "
                 f"but the model has {model.batch_size}"
             )
+        if observers is not None and len(observers) != model.batch_size:
+            raise ValueError(
+                f"got {len(observers)} observer lists for {model.batch_size} replicas"
+            )
         self.model = model
         self.protocol = protocol
         self.zones = zones
+        self.observers = observers
         batch = model.batch_size
         self.n_steps = np.zeros(batch, dtype=np.intp)
         self.informed_counts_history = None
@@ -255,13 +282,25 @@ class BatchSimulation:
             in_cz, cz_frac, suburb_frac = self._zone_fractions(positions, all_rows, counts)
             self._record_zone_times(0.0, all_rows, cz_frac, suburb_frac)
             self.source_in_central_zone = in_cz[all_rows, self.protocol.sources]
+        if self.observers is not None:
+            views = [ReplicaView(self.protocol, b) for b in range(batch)]
+            for b, replica_observers in enumerate(self.observers):
+                for observer in replica_observers:
+                    start = getattr(observer, "start", None)
+                    if start is not None:
+                        start(positions[b], views[b])
         counts_history = [counts]
         active = self._active_mask()
         step = 0
         while step < max_steps and active.any():
             step += 1
             positions = self.model.step(dt, active=active, copy=False)
-            self.protocol.step(positions, active=active)
+            newly = self.protocol.step(positions, active=active)
+            if self.observers is not None:
+                for b in np.nonzero(active)[0]:
+                    newly_b = np.flatnonzero(newly[b])
+                    for observer in self.observers[b]:
+                        observer.observe(step, positions[b], views[b], newly_b)
             counts = self.protocol.informed_counts
             counts_history.append(counts)
             self.n_steps[active] = step
@@ -287,7 +326,7 @@ class BatchSimulation:
         return self.n_steps.copy()
 
 
-def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
+def run_protocol_batch(config: FloodingConfig, seed_seqs, observers=None) -> list:
     """Execute one batch of protocol trials; one result per seed sequence.
 
     The batched equivalent of calling
@@ -301,6 +340,10 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
         config: the experiment parameters.
         seed_seqs: per-trial ``numpy.random.SeedSequence`` objects; their
             count defines the batch size.
+        observers: optional per-trial observer lists (see
+            :class:`BatchSimulation`), returned on each trial's
+            ``result.extras["observers"]`` — the sweep scheduler's
+            per-trial instrumentation hook.
     """
     seed_seqs = list(seed_seqs)
     if not seed_seqs:
@@ -331,7 +374,7 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
         zones = build_zone_partition(
             config.n, config.side, config.radius, config.threshold_factor
         )
-    simulation = BatchSimulation(model, state, zones=zones)
+    simulation = BatchSimulation(model, state, zones=zones, observers=observers)
     # The configured kernel tier is active for the lock-step loop only —
     # bit-exact by contract, so the tier changes speed, never results.
     with use_kernel_tier(config.kernels):
@@ -342,13 +385,6 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
     stalled = state.stalled_mask()
     counts = simulation.informed_counts_history
     extras = state.final_metrics(model.positions_view, zones)
-    if isinstance(model, ReplicatedBatchMobility):
-        # The mobility ran as a per-replica Python loop, so this batch saw
-        # no mobility vectorization win.  Stamp every replica's extras so
-        # each per-trial record is self-describing — visible in results,
-        # not buried in logs.
-        for extra in extras:
-            extra["mobility_execution"] = "replicated (not vectorized)"
     for b in range(batch):
         history = counts[: n_steps[b] + 1, b].copy()
         completed = bool(complete[b])
@@ -375,6 +411,8 @@ def run_protocol_batch(config: FloodingConfig, seed_seqs) -> list:
                 "kernel_tier": kernel_tier_label(config.kernels),
             },
         )
+        if observers is not None:
+            result.extras["observers"] = list(observers[b])
         result.extras.update(extras[b])
         if zones is not None:
             result.cz_completion_time = float(simulation.cz_completion_time[b])

@@ -17,13 +17,18 @@ from dataclasses import dataclass, field, replace
 
 from repro.core import theory
 from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
-from repro.mobility import BATCH_MOBILITY_REGISTRY, MODEL_REGISTRY, NO_INIT_MODELS
+from repro.mobility import (
+    BATCH_MOBILITY_REGISTRY,
+    MODEL_REGISTRY,
+    MODEL_VALIDATORS,
+    NO_INIT_MODELS,
+)
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
 
-__all__ = ["FloodingConfig", "standard_config"]
+__all__ = ["FloodingConfig", "standard_config", "mobility_arguments"]
 
 _SOURCE_MODES = ("uniform", "central", "suburb")
-_ENGINES = ("scalar", "batch", "auto")
+_ENGINES = ("batch", "scalar")
 _INITS = ("stationary", "closed-form", "uniform")
 
 #: Option vocabulary per mobility model, enforced at construction so a
@@ -78,14 +83,13 @@ class FloodingConfig:
         track_zones: record per-zone completion metrics (requires a cell
             grid satisfying Ineq. 6 — disabled automatically when the radius
             admits no grid).
-        engine: multi-trial execution engine — ``"scalar"`` (the reference
+        engine: multi-trial execution engine — ``"batch"`` (the default:
+            lock-step :class:`~repro.simulation.batch.BatchSimulation`,
+            every production path) or ``"scalar"`` (the reference
             :class:`~repro.simulation.engine.Simulation`, one trial at a
-            time), ``"batch"`` (lock-step
-            :class:`~repro.simulation.batch.BatchSimulation`; every
-            registered protocol, identical results, markedly faster for
-            many trials), or ``"auto"`` (batch whenever both the protocol
-            and the mobility model have native batched implementations,
-            scalar otherwise).  Engine/protocol combinations are validated
+            time — the oracle the parity tests compare against).  Both
+            give seed-for-seed identical results.  The batch engine needs
+            a batch twin of the protocol and the mobility model, checked
             at construction time.
         batch_size: trials advanced per batch when ``engine="batch"``
             (0 — the default — runs all of a call's or worker's trials in
@@ -116,7 +120,7 @@ class FloodingConfig:
     threshold_factor: float = 3.0 / 8.0
     multi_hop: bool = False
     track_zones: bool = True
-    engine: str = "scalar"
+    engine: str = "batch"
     batch_size: int = 0
     kernels: str = "auto"
 
@@ -156,18 +160,26 @@ class FloodingConfig:
                 f"{sorted(MODEL_REGISTRY)}"
             )
         self._validate_mobility_options()
+        validate = MODEL_VALIDATORS.get(self.mobility)
+        if validate is not None:
+            args, kwargs = mobility_arguments(self)
+            validate(self.n, self.side, *args, **kwargs)
         if self.protocol not in PROTOCOL_REGISTRY:
             raise ValueError(
                 f"unknown protocol {self.protocol!r}; registered protocols: "
                 f"{sorted(PROTOCOL_REGISTRY)}"
             )
-        # Engine/protocol combinations fail here, at construction, with a
+        # Engine/model combinations fail here, at construction, with a
         # clear message — not as a deep ValueError once trials start.
         if self.engine == "batch" and self.protocol not in BATCH_PROTOCOL_REGISTRY:
             raise ValueError(
                 f"protocol {self.protocol!r} has no batched implementation "
-                f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use "
-                f"engine='scalar', or engine='auto' to fall back automatically"
+                f"(batchable: {sorted(BATCH_PROTOCOL_REGISTRY)}); use engine='scalar'"
+            )
+        if self.engine == "batch" and self.mobility not in BATCH_MOBILITY_REGISTRY:
+            raise ValueError(
+                f"mobility model {self.mobility!r} has no batched implementation "
+                f"(batchable: {sorted(BATCH_MOBILITY_REGISTRY)}); use engine='scalar'"
             )
         if self.batch_size < 0:
             raise ValueError(f"batch_size must be non-negative, got {self.batch_size}")
@@ -208,11 +220,6 @@ class FloodingConfig:
         inset = options.get("inset")
         if inset is not None and not 0 <= inset < self.side / 2:
             raise ValueError(f"inset must be in [0, side/2), got {inset}")
-        ferries = options.get("ferries")
-        if ferries is not None and not 1 <= int(ferries) <= self.n - 2:
-            raise ValueError(
-                f"ferries must be in [1, n - 2] (need an MRWP background), got {ferries}"
-            )
         jitter = options.get("jitter")
         if jitter is not None and not 0 <= jitter <= 1:
             raise ValueError(f"jitter must be in [0, 1], got {jitter}")
@@ -239,29 +246,6 @@ class FloodingConfig:
         return replace(self, **changes)
 
     @property
-    def resolved_engine(self) -> str:
-        """The engine that will actually run.
-
-        ``"auto"`` picks the batch engine exactly when **both** the
-        protocol and the mobility model have native vectorized
-        implementations (:data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`
-        and :data:`~repro.mobility.BATCH_MOBILITY_REGISTRY`).  Every
-        *registered* mobility name is batch-native since PR 9, so for
-        registered models this reduces to the protocol check; the mobility
-        clause still matters for user-supplied models registered without a
-        batch twin, which ``auto`` keeps on the scalar engine (their
-        :class:`~repro.mobility.base.ReplicatedBatchMobility` adapter is a
-        per-replica Python loop, so batching buys nothing).  An explicit
-        ``engine="batch"`` still forces the batch engine (with the
-        fallback, flagged in the results) for such models.
-        """
-        if self.engine != "auto":
-            return self.engine
-        if self.protocol not in BATCH_PROTOCOL_REGISTRY:
-            return "scalar"
-        return "batch" if self.mobility in BATCH_MOBILITY_REGISTRY else "scalar"
-
-    @property
     def resolved_kernels(self) -> str:
         """The kernel tier that will actually run (``"numpy"``/``"compiled"``).
 
@@ -285,6 +269,39 @@ class FloodingConfig:
             f"n={self.n} L={self.side:.4g} R={self.radius:.4g} v={self.speed:.4g} "
             f"model={self.mobility} protocol={self.protocol} source={self.source} seed={self.seed}"
         )
+
+
+def mobility_arguments(config: FloodingConfig) -> tuple:
+    """Constructor arguments shared by the scalar and batch model builders.
+
+    The single place config fields map onto per-model constructor
+    signatures (speed vs ``move_radius``, ``init`` vocabulary, option
+    defaults).  Returns ``(args, kwargs)`` such that
+    ``ModelClass(config.n, config.side, *args, rng=rng, **kwargs)`` builds
+    the scalar model, the registered batch class accepts the same call
+    with ``rngs=``, and the model's entry in
+    :data:`~repro.mobility.MODEL_VALIDATORS` checks the same call without
+    building anything (which is how :class:`FloodingConfig` runs the
+    models' own parameter checks at construction).
+
+    Models with a narrower init vocabulary (rwp / mrwp-pause / mrwp-speed
+    reject ``"closed-form"``) raise their own ValueError rather than being
+    silently coerced.
+    """
+    name = config.mobility
+    options = dict(config.mobility_options)
+    if name == "random-walk":
+        return (), {"move_radius": config.speed, **options}
+    if name == "mrwp-pause":
+        options.setdefault("pause_time", 0.0)
+    elif name == "mrwp-speed":
+        # Degenerate default: a constant-speed trip law at config.speed.
+        options.setdefault("v_min", config.speed)
+        options.setdefault("v_max", config.speed)
+        return (), {"init": config.init, **options}
+    if name in NO_INIT_MODELS:
+        return (config.speed,), options
+    return (config.speed,), {"init": config.init, **options}
 
 
 def standard_config(

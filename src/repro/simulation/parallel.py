@@ -6,15 +6,14 @@ bit-reproducible: the seed schedule is identical to
 :func:`repro.simulation.runner.run_trials`, so serial and parallel
 execution produce the same results (asserted in the tests).
 
-Sharding follows each configuration's **resolved** engine.  With
-``engine="scalar"`` each process runs one trial per job (the original
-layout).  With ``engine="batch"`` each process runs one **batch** per job —
-a contiguous slice of the trial sequence advanced in lock-step by
+Sharding follows each configuration's engine.  On the batch engine (the
+default) each process runs one **batch** per job — a contiguous slice of
+the trial sequence advanced in lock-step by
 :func:`repro.simulation.batch.run_protocol_batch` — so the vectorization
-win multiplies with the process fan-out instead of being sliced away.
+win multiplies with the process fan-out instead of being sliced away; a
+``engine="scalar"`` config runs the reference engine one trial per job.
 Parameter sweeps fan out through the sweep scheduler
-(:func:`repro.simulation.sweep.run_sweep` with ``jobs=``), which resolves
-the engine per point.
+(:func:`repro.simulation.sweep.run_sweep` with ``jobs=``).
 
 **Fault tolerance.**  A single OOM-killed or segfaulted child used to
 raise :class:`~concurrent.futures.process.BrokenProcessPool` out of the
@@ -113,13 +112,11 @@ def _rebuild_seed_seq(state) -> np.random.SeedSequence:
 def _run_job(args):
     """Worker: run one ``(config, seed-states)`` slice through its engine.
 
-    Top-level so the process pool can pickle it.  The branch is on the
-    *job's own* config — mixed-engine job lists (a sweep crossing an
-    ``engine="auto"`` resolution boundary) dispatch each slice correctly.
+    Top-level so the process pool can pickle it.
     """
     config, states = args
     seqs = [_rebuild_seed_seq(state) for state in states]
-    if config.resolved_engine == "batch":
+    if config.engine == "batch":
         from repro.simulation.batch import run_protocol_batch
 
         return run_protocol_batch(config, seqs)
@@ -400,7 +397,7 @@ def run_trials_parallel(
     if n_trials < 1:
         raise ValueError(f"n_trials must be positive, got {n_trials}")
     states = _child_states(config, n_trials)
-    if config.resolved_engine == "batch":
+    if config.engine == "batch":
         jobs = _batch_jobs(config, states, max_workers)
     else:
         jobs = [(config, [state]) for state in states]

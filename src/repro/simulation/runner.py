@@ -1,11 +1,14 @@
 """Single-run and multi-trial flooding drivers.
 
-:func:`run_flooding` executes one fully-specified
-:class:`~repro.simulation.config.FloodingConfig` and returns a
-:class:`~repro.simulation.results.FloodingResult`.  :func:`run_trials`
-repeats it over independent seeds — the workhorses behind every flooding
-experiment and benchmark.  Parameter sweeps go through the sweep
-scheduler (:func:`repro.simulation.sweep.run_sweep` with
+:func:`run_trials` repeats a fully-specified
+:class:`~repro.simulation.config.FloodingConfig` over independent seeds —
+the workhorse behind every flooding experiment and benchmark — on the
+batch engine.  :func:`run_flooding` executes one trial on the scalar
+reference engine and returns a
+:class:`~repro.simulation.results.FloodingResult`: the plain oracle the
+parity tests and the benchmark's replay compare the batch engine against.
+Parameter sweeps go through the sweep scheduler
+(:func:`repro.simulation.sweep.run_sweep` with
 :meth:`~repro.simulation.sweep.SweepPlan.over_parameter`).
 """
 
@@ -17,9 +20,9 @@ import numpy as np
 
 from repro.core.flooding import build_zone_partition, select_source
 from repro.kernels import kernel_tier_label, use_kernel_tier
-from repro.mobility import MODEL_REGISTRY, NO_INIT_MODELS
+from repro.mobility import MODEL_REGISTRY
 from repro.protocols import PROTOCOL_REGISTRY, FloodingProtocol
-from repro.simulation.config import FloodingConfig
+from repro.simulation.config import FloodingConfig, mobility_arguments
 from repro.simulation.engine import Simulation
 from repro.simulation.metrics import InformedRecorder, ZoneRecorder
 from repro.simulation.results import FloodingResult
@@ -31,47 +34,6 @@ __all__ = [
     "build_protocol",
     "mobility_arguments",
 ]
-
-#: Models whose constructors take no ``init`` argument (their stationary
-#: law needs no warm-up state beyond uniform positions).  The canonical
-#: set lives in :data:`repro.mobility.NO_INIT_MODELS` so the config layer
-#: can reject ``init=`` for these models at construction time instead of
-#: this module silently dropping it.
-_NO_INIT_MODELS = NO_INIT_MODELS
-
-
-def mobility_arguments(config: FloodingConfig) -> tuple:
-    """Constructor arguments shared by the scalar and batch model builders.
-
-    The single place config fields map onto per-model constructor
-    signatures (speed vs ``move_radius``, ``init`` vocabulary, option
-    defaults).  Returns ``(args, kwargs)`` such that
-    ``ModelClass(config.n, config.side, *args, rng=rng, **kwargs)`` builds
-    the scalar model and the registered batch class accepts the same call
-    with ``rngs=`` — which is what keeps
-    :func:`~repro.simulation.batch.build_batch_model` a registry lookup
-    instead of a second if/elif chain.
-
-    ``config.init`` is validated at ``FloodingConfig`` construction;
-    models with a narrower init vocabulary (rwp / mrwp-pause / mrwp-speed
-    reject ``"closed-form"``) raise their own ValueError rather than being
-    silently coerced.
-    """
-    name = config.mobility
-    options = dict(config.mobility_options)
-    if name == "random-walk":
-        return (), {"move_radius": config.speed, **options}
-    if name == "mrwp-pause":
-        options.setdefault("pause_time", 0.0)
-    elif name == "mrwp-speed":
-        # Degenerate default: a constant-speed trip law at config.speed.
-        options.setdefault("v_min", config.speed)
-        options.setdefault("v_max", config.speed)
-        return (), {"init": config.init, **options}
-    if name in _NO_INIT_MODELS:
-        return (config.speed,), options
-    return (config.speed,), {"init": config.init, **options}
-
 
 def build_model(config: FloodingConfig, rng: np.random.Generator):
     """Instantiate the mobility model named by the configuration."""
@@ -105,7 +67,7 @@ def run_flooding(
     seed_seq: np.random.SeedSequence = None,
     extra_observers=None,
 ) -> FloodingResult:
-    """Execute one flooding run.
+    """Execute one flooding run on the scalar reference engine.
 
     Args:
         config: the experiment parameters.
@@ -184,13 +146,12 @@ def run_trials(config: FloodingConfig, n_trials: int, stopping=None) -> list:
     """Run ``n_trials`` independent repetitions of a configuration.
 
     Trials derive their randomness from ``SeedSequence(config.seed)``; two
-    calls with the same configuration produce identical results.  With
-    ``engine="batch"`` (or ``engine="auto"`` resolving to it) the trials
-    are advanced in lock-step by
+    calls with the same configuration produce identical results.  On the
+    batch engine (the default) the trials are advanced in lock-step by
     :class:`~repro.simulation.batch.BatchSimulation` (in slices of
-    ``config.batch_size`` trials, all at once when 0) — same seed schedule,
-    same results, one vectorized pass instead of a Python loop, for every
-    protocol in :data:`~repro.protocols.BATCH_PROTOCOL_REGISTRY`.
+    ``config.batch_size`` trials, all at once when 0); ``engine="scalar"``
+    runs the reference :func:`run_flooding` once per trial — same seed
+    schedule, same results.
 
     Args:
         stopping: optional
@@ -208,7 +169,7 @@ def run_trials(config: FloodingConfig, n_trials: int, stopping=None) -> list:
         return point.results
     root = np.random.SeedSequence(config.seed)
     children = root.spawn(n_trials)
-    if config.resolved_engine == "batch":
+    if config.engine == "batch":
         from repro.simulation.batch import run_protocol_batch
 
         size = config.batch_size if config.batch_size > 0 else n_trials

@@ -22,18 +22,15 @@ walked its grid point-by-point through :func:`~repro.simulation.runner
   :func:`~repro.simulation.checkpoint.config_fingerprint`, which
   serializes dict-valued fields with sorted keys — two configs differing
   only in ``mobility_options`` insertion order share trials;
-* each point dispatches through the configured **execution engine**
-  (``engine="auto"`` resolves to the vectorized batch engine whenever both
-  the protocol and the mobility model have native batched implementations)
-  in batch slices, exactly like ``run_trials``;
+* each point dispatches on its config's engine — the batch engine in
+  batch slices, exactly like ``run_trials`` (a ``engine="scalar"`` config
+  runs the reference engine one trial per job);
 * ``jobs=`` fans the work units out over processes via the worker
-  machinery of :mod:`repro.simulation.parallel` — batch points ship one
-  batch slice per job, scalar points one trial per job, all sharing one
-  pool;
-* points may attach **per-trial observers** (``observer_factory``), which
-  forces the scalar engine for that point only (observers need the
-  step-by-step :class:`~repro.simulation.engine.Simulation`); the observers
-  ride back on ``FloodingResult.extras["observers"]``.
+  machinery of :mod:`repro.simulation.parallel`, all sharing one pool;
+* points may attach **per-trial observers** (``observer_factory``): each
+  trial gets fresh observers from the factory, fed by the engine's
+  per-replica observer hook, and they ride back on
+  ``FloodingResult.extras["observers"]``.
 
 **Adaptive sampling.**  A :class:`StoppingRule` (per point, or sweep-wide
 via ``run_sweep(stopping=...)``) switches a point from a fixed trial count
@@ -242,7 +239,7 @@ class SweepPoint:
         observer_factory: optional picklable callable
             ``factory(config) -> list`` building fresh per-trial observers
             (:class:`~repro.simulation.engine.Simulation` observer
-            protocol).  Forces the scalar engine for this point; observer
+            protocol, which the batch engine serves per replica).  Observer
             results are not checkpointed (recomputed on resume).
         stopping: optional per-point :class:`StoppingRule`, overriding the
             sweep-wide rule passed to :func:`run_sweep`.
@@ -273,12 +270,12 @@ class SweepPointResult:
 
     Attributes:
         key: the input point's label.
-        config: the configuration **as executed** (engine override applied).
+        config: the point's configuration.
         n_trials: trials this point actually ran (``len(results)`` — under
             a stopping rule this is where the rule stopped, otherwise the
             requested fixed budget).
-        engine: engine that actually ran the trials (``"scalar"`` or
-            ``"batch"`` — never ``"auto"``).
+        engine: engine that ran the trials (``"batch"``, or ``"scalar"``
+            for a reference-engine config).
         results: per-trial :class:`~repro.simulation.results.FloodingResult`
             in seed order.
         summary: flooding-time aggregation over the trials.
@@ -386,10 +383,11 @@ def _run_sweep_job(args) -> list:
     """
     config, states, factory = args
     seqs = [_rebuild_seed_seq(state) for state in states]
-    if factory is None and config.resolved_engine == "batch":
+    if config.engine == "batch":
         from repro.simulation.batch import run_protocol_batch
 
-        return run_protocol_batch(config, seqs)
+        observers = None if factory is None else [list(factory(config)) for _ in seqs]
+        return run_protocol_batch(config, seqs, observers=observers)
     from repro.simulation.runner import run_flooding
 
     out = []
@@ -423,23 +421,7 @@ def _job_label(gid: int, keys: list, config, lo: int, hi: int) -> str:
     )
 
 
-def _executed_config(point: SweepPoint, engine) -> FloodingConfig:
-    """Apply the sweep-level engine override and the observer constraint."""
-    config = point.config
-    if engine is not None:
-        config = config.with_options(engine=engine)
-    if point.observer_factory is not None:
-        if config.engine == "batch":
-            raise ValueError(
-                f"point {point.key!r} attaches observers, which require the scalar "
-                "engine; use engine='auto' or 'scalar' for observer points"
-            )
-        if config.engine != "scalar":  # "auto": observers resolve it to scalar
-            config = config.with_options(engine="scalar")
-    return config
-
-
-def _build_groups(points, engine, stopping) -> tuple:
+def _build_groups(points, stopping) -> tuple:
     """Dedup pass: one execution group per distinct (config, factory, rule).
 
     Grouping is keyed by the canonical config fingerprint
@@ -452,7 +434,7 @@ def _build_groups(points, engine, stopping) -> tuple:
     point_group = []
     by_key = {}
     for point in points:
-        config = _executed_config(point, engine)
+        config = point.config
         rule = point.stopping if point.stopping is not None else stopping
         fingerprint = config_fingerprint(config)
         factory = point.observer_factory
@@ -475,7 +457,7 @@ def _build_groups(points, engine, stopping) -> tuple:
     return groups, point_group
 
 
-def _batch_slices(config, states, want, batch_size, workers) -> list:
+def _batch_slices(config, states, want, batch_size, workers, factory) -> list:
     """Slice a batch-engine group's seed states into job tuples.
 
     Deliberately NOT parallel._batch_jobs: that helper always divides by
@@ -487,7 +469,7 @@ def _batch_slices(config, states, want, batch_size, workers) -> list:
     if size <= 0:
         size = want if workers <= 1 else math.ceil(want / workers)
     size = max(1, size)
-    return [(config, states[lo:lo + size], None) for lo in range(0, want, size)]
+    return [(config, states[lo:lo + size], factory) for lo in range(0, want, size)]
 
 
 def _assemble(points, point_group, groups) -> list:
@@ -499,13 +481,12 @@ def _assemble(points, point_group, groups) -> list:
             results = group["results"][: point.n_trials]
         else:
             results = list(group["results"])
-        engine_used = "scalar" if group["factory"] is not None else group["config"].resolved_engine
         out.append(
             SweepPointResult(
                 key=point.key,
                 config=group["config"],
                 n_trials=len(results),
-                engine=engine_used,
+                engine=group["config"].engine,
                 results=results,
                 summary=summarize(r.flooding_time for r in results),
             )
@@ -526,9 +507,11 @@ def _run_single_pass(
         config = group["config"]
         states = _child_states(config, group["n_trials"])
         start = len(job_list)
-        if group["factory"] is None and config.resolved_engine == "batch":
+        if config.engine == "batch":
             job_list.extend(
-                _batch_slices(config, states, len(states), batch_size, workers)
+                _batch_slices(
+                    config, states, len(states), batch_size, workers, group["factory"]
+                )
             )
         else:
             job_list.extend((config, [state], group["factory"]) for state in states)
@@ -909,8 +892,12 @@ def _run_sequential(
                     done_trials = len(group["results"])
                     states = _child_states_range(config, done_trials, done_trials + want)
                     start = len(job_list)
-                    if group["factory"] is None and config.resolved_engine == "batch":
-                        job_list.extend(_batch_slices(config, states, want, batch_size, workers))
+                    if config.engine == "batch":
+                        job_list.extend(
+                            _batch_slices(
+                                config, states, want, batch_size, workers, group["factory"]
+                            )
+                        )
                     else:
                         job_list.extend((config, [state], group["factory"]) for state in states)
                     offset = done_trials
@@ -956,7 +943,7 @@ def _cooperative_worker(points, kwargs) -> None:
 
 
 def _run_multi_worker(
-    points, engine, jobs, batch_size, stopping, checkpoint,
+    points, jobs, batch_size, stopping, checkpoint,
     workers, lease_ttl, max_retries, job_timeout,
 ) -> list:
     """Self-spawned cooperative fleet: N lease-coordinated worker processes.
@@ -972,7 +959,7 @@ def _run_multi_worker(
     """
     ttl = lease_ttl if lease_ttl is not None else DEFAULT_LEASE_TTL
     kwargs = dict(
-        engine=engine, jobs=jobs, batch_size=batch_size, stopping=stopping,
+        jobs=jobs, batch_size=batch_size, stopping=stopping,
         checkpoint=checkpoint, lease_ttl=ttl,
         max_retries=max_retries, job_timeout=job_timeout,
     )
@@ -989,7 +976,6 @@ def _run_multi_worker(
 
 def run_sweep(
     plan,
-    engine: str | None = None,
     jobs: int | None = 1,
     batch_size: int | None = None,
     stopping: StoppingRule | None = None,
@@ -1007,10 +993,6 @@ def run_sweep(
     Args:
         plan: a :class:`SweepPlan`, or any iterable of :class:`SweepPoint`
             / ``(config, n_trials[, key])`` tuples.
-        engine: optional engine override applied to every point
-            (``"scalar"`` / ``"batch"`` / ``"auto"``); ``None`` keeps each
-            config's own engine.  Results never depend on the engine (the
-            batch engine is seed-for-seed identical to the scalar one).
         jobs: worker processes.  ``1`` (default) runs in-process; ``N > 1``
             fans the work units out over a shared pool of ``N`` processes;
             ``None`` lets the executor pick.  Results never depend on
@@ -1095,7 +1077,7 @@ def run_sweep(
             "across workers"
         )
 
-    groups, point_group = _build_groups(points, engine, stopping)
+    groups, point_group = _build_groups(points, stopping)
     if cooperative and any(group["factory"] is not None for group in groups):
         raise ValueError(
             "observer points cannot run cooperatively: observer results are not "
@@ -1106,7 +1088,7 @@ def run_sweep(
 
     if workers > 1:
         return _run_multi_worker(
-            points, engine, jobs, batch_size, stopping, checkpoint,
+            points, jobs, batch_size, stopping, checkpoint,
             workers, lease_ttl, max_retries, job_timeout,
         )
 

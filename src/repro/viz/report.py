@@ -28,44 +28,22 @@ the paper's explicitly un-optimized constants — see DESIGN.md.
 """
 
 
-def generate_report(
-    scale: str = "quick", seed: int = 0, experiment_ids=None, engine: str | None = None, jobs: int = 1
-) -> str:
+def generate_report(scale: str = "quick", seed: int = 0, experiment_ids=None, jobs: int = 1) -> str:
     """Run experiments and render the full markdown report.
 
-    ``engine`` / ``jobs`` thread through to the sweep-scheduler experiments
-    (results are engine-independent) and are skipped for the rest.
+    ``jobs`` threads through to the sweep-scheduler experiments and is
+    skipped for the rest.
     """
     # Imported lazily: the experiment framework itself renders tables via
     # repro.viz, so a module-level import here would be circular.
     from repro.experiments.registry import all_ids, get_spec
-
-    from repro.experiments.base import ExperimentResult
 
     ids = list(experiment_ids) if experiment_ids is not None else all_ids()
     results = []
     for experiment_id in ids:
         spec = get_spec(experiment_id)
         start = time.perf_counter()
-        try:
-            result = spec.run(
-                scale=scale,
-                seed=seed,
-                engine=engine if spec.accepts_engine else None,
-                jobs=jobs if spec.accepts_jobs else 1,
-            )
-        except ValueError as error:
-            # e.g. engine="batch" on an observer-point experiment that can
-            # only run scalar: record the failure, keep the report going.
-            result = ExperimentResult(
-                experiment_id=experiment_id,
-                title=spec.title,
-                paper_ref=spec.paper_ref,
-                headers=[],
-                rows=[],
-                notes=[f"not run: {error}"],
-                passed=False,
-            )
+        result = spec.run(scale=scale, seed=seed, jobs=jobs if spec.accepts_jobs else 1)
         results.append((result, time.perf_counter() - start))
 
     index_rows = "\n".join(
@@ -94,13 +72,10 @@ def write_report(
     scale: str = "quick",
     seed: int = 0,
     experiment_ids=None,
-    engine: str | None = None,
     jobs: int = 1,
 ) -> str:
     """Generate the report and write it to ``path``; returns the path."""
-    report = generate_report(
-        scale=scale, seed=seed, experiment_ids=experiment_ids, engine=engine, jobs=jobs
-    )
+    report = generate_report(scale=scale, seed=seed, experiment_ids=experiment_ids, jobs=jobs)
     with open(path, "w") as handle:
         handle.write(report)
     return path

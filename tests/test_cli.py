@@ -25,23 +25,33 @@ class TestParser:
 
     def test_experiment_alias_parses(self):
         args = build_parser().parse_args(
-            ["experiment", "thm3_radius", "--engine", "auto", "--jobs", "2"]
+            ["experiment", "thm3_radius", "--jobs", "2"]
         )
         assert args.command == "experiment"
         assert args.experiment == "thm3_radius"
-        assert args.engine == "auto"
         assert args.jobs == 2
 
-    def test_engine_defaults_unset(self):
+    def test_jobs_default_to_one(self):
         args = build_parser().parse_args(["run", "thm3_radius"])
-        assert args.engine is None
         assert args.jobs == 1
 
-    def test_all_and_report_take_engine_jobs(self):
-        args = build_parser().parse_args(["all", "--engine", "scalar", "--jobs", "3"])
-        assert args.engine == "scalar" and args.jobs == 3
-        args = build_parser().parse_args(["report", "--engine", "auto"])
-        assert args.engine == "auto"
+    def test_all_and_report_take_jobs(self):
+        args = build_parser().parse_args(["all", "--jobs", "3"])
+        assert args.jobs == 3
+        args = build_parser().parse_args(["report", "--jobs", "2"])
+        assert args.jobs == 2
+
+    @pytest.mark.parametrize("command", ["experiment", "all", "sweep", "report", "flood"])
+    def test_no_subcommand_takes_an_engine(self, command):
+        argv = {
+            "experiment": ["experiment", "thm3_radius"],
+            "all": ["all"],
+            "sweep": ["sweep", "--n", "50", "--parameter", "radius", "--values", "1"],
+            "report": ["report"],
+            "flood": ["flood", "--n", "50"],
+        }[command]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--engine", "batch"])
 
     def test_bench_experiments_suite_parses(self):
         args = build_parser().parse_args(["bench", "--suite", "experiments"])
@@ -74,15 +84,15 @@ class TestCommands:
         assert code == 0
         assert csv_path.exists()
 
-    def test_experiment_alias_runs_with_engine(self, capsys):
-        code = main(["experiment", "thm10_growth", "--engine", "auto", "--jobs", "2"])
+    def test_experiment_alias_runs_with_jobs(self, capsys):
+        code = main(["experiment", "thm10_growth", "--jobs", "2"])
         out = capsys.readouterr().out
         assert code == 0
         assert "Theorem 10" in out
 
-    def test_engine_on_non_scheduler_experiment_errors(self, capsys):
-        with pytest.raises(SystemExit, match="engine"):
-            main(["run", "fig1_spatial", "--engine", "auto"])
+    def test_jobs_on_non_scheduler_experiment_errors(self, capsys):
+        with pytest.raises(SystemExit, match="fan-out"):
+            main(["run", "fig1_spatial", "--jobs", "2"])
 
     def test_flood_command(self, capsys):
         code = main(

@@ -7,9 +7,8 @@ trajectories, same per-replica RNG streams — and the batch engine built on
 top of them returns exactly the scalar engine's trial results across
 models, inits, backends and engines.  Since PR 9 that includes the transit
 family (ferry / composite / timetable): every registered name is
-batch-native, and ``ReplicatedBatchMobility`` survives only as the tested
-escape hatch for user-supplied scalar models, announcing itself in every
-replica's results.
+batch-native.  A user-registered scalar model without a batch twin runs
+on the scalar engine only: the batch engine refuses it at config time.
 """
 
 import numpy as np
@@ -19,10 +18,12 @@ from repro.geometry.neighbors import available_backends
 from repro.mobility import (
     BATCH_MOBILITY_REGISTRY,
     MODEL_REGISTRY,
+    BatchCompositeMobility,
+    BatchFerryPatrol,
+    BatchTimetableMobility,
     ManhattanRandomWaypoint,
-    ReplicatedBatchMobility,
 )
-from repro.simulation.batch import build_batch_model, run_protocol_batch
+from repro.simulation.batch import build_batch_model
 from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, standard_config
 from repro.simulation.runner import build_model, run_trials
 
@@ -120,7 +121,6 @@ class TestModelLevelParity:
         entry = BATCH_MOBILITY_REGISTRY[name]
         if isinstance(entry, type):
             assert type(batch) is entry
-        assert not isinstance(batch, ReplicatedBatchMobility)
         assert np.array_equal(np.stack([m.positions for m in scalars]), batch.positions)
         for _ in range(12):
             expected = np.stack([m.step() for m in scalars])
@@ -169,8 +169,8 @@ class TestEngineLevelParity:
     @pytest.mark.parametrize("name,options,init", MODEL_INIT_CASES)
     def test_trials_match_across_engines(self, name, options, init):
         config = mobility_config(name, options, init)
-        scalar = result_fingerprint(run_trials(config, 3))
-        batch = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
+        scalar = result_fingerprint(run_trials(config.with_options(engine="scalar"), 3))
+        batch = result_fingerprint(run_trials(config, 3))
         assert scalar == batch
 
     @pytest.mark.parametrize("backend", available_backends())
@@ -187,10 +187,9 @@ class TestEngineLevelParity:
                 reference = got
             assert got == reference, (name, backend, engine)
 
-    def test_auto_resolves_to_batch_for_native_models(self):
+    def test_batch_is_the_default_engine_for_native_models(self):
         for name, options, _inits in MODEL_GRID:
-            config = mobility_config(name, options, engine="auto")
-            assert config.resolved_engine == "batch", name
+            assert mobility_config(name, options).engine == "batch", name
 
 
 #: The PR 9 acceptance sweep: {timetable, ferry, composite} — each config
@@ -210,7 +209,13 @@ class TestTransitFamilyNative:
     def test_transit_models_are_native(self, name, options):
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(B)]
         model = build_batch_model(mobility_config(name, options), rngs)
-        assert not isinstance(model, ReplicatedBatchMobility)
+        native = {
+            "ferry": BatchFerryPatrol,
+            "composite": BatchCompositeMobility,
+            "timetable": BatchTimetableMobility,
+        }
+        assert type(model) is native[name]
+        assert model.batch_size == B
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("name,options", TRANSIT_CASES)
@@ -218,21 +223,14 @@ class TestTransitFamilyNative:
         """The acceptance sweep: {transit model} x {backend} x {engine}."""
         config = mobility_config(name, options, max_steps=120, backend=backend)
         reference = result_fingerprint(run_trials(config.with_options(engine="scalar"), 3))
-        for engine in ("batch", "auto"):
-            got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
-            assert got == reference, (name, backend, engine)
-
-    @pytest.mark.parametrize("name,options", TRANSIT_CASES)
-    def test_no_fallback_note_and_auto_resolves_to_batch(self, name, options):
-        config = mobility_config(name, options, engine="auto")
-        assert config.resolved_engine == "batch"
-        results = run_trials(config, 2)
-        assert all("mobility_execution" not in r.extras for r in results)
+        got = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
+        assert got == reference, (name, backend)
 
 
-class TestReplicatedEscapeHatch:
-    """User-supplied scalar models without a batch twin still run correctly
-    through ReplicatedBatchMobility — and say so in every replica."""
+class TestScalarOnlyModels:
+    """A user-registered scalar model without a batch twin runs on the
+    scalar engine; the batch engine refuses it at config time, as it
+    refuses a protocol without a batch twin."""
 
     NAME = "mrwp-scalar-only"
 
@@ -243,29 +241,18 @@ class TestReplicatedEscapeHatch:
         assert self.NAME not in BATCH_MOBILITY_REGISTRY
         return self.NAME
 
-    def test_unregistered_batch_model_is_replicated(self, scalar_only_model):
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(B)]
-        config = mobility_config(scalar_only_model, {})
-        assert isinstance(build_batch_model(config, rngs), ReplicatedBatchMobility)
+    def test_batch_engine_rejects_model_without_batch_twin(self, scalar_only_model):
+        with pytest.raises(ValueError, match="no batched implementation"):
+            mobility_config(scalar_only_model, {})
+        with pytest.raises(ValueError, match="engine='scalar'"):
+            mobility_config(scalar_only_model, {}, engine="batch")
 
-    def test_escape_hatch_bit_identical_across_engines(self, scalar_only_model):
-        config = mobility_config(scalar_only_model, {}, max_steps=120)
-        scalar = result_fingerprint(run_trials(config, 3))
-        batch = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
-        assert scalar == batch
-
-    def test_fallback_note_stamped_on_every_replica(self, scalar_only_model):
-        results = run_trials(mobility_config(scalar_only_model, {}, engine="batch"), 3)
-        notes = [r.extras.get("mobility_execution") for r in results]
-        assert notes == ["replicated (not vectorized)"] * 3
-
-    def test_native_models_carry_no_fallback_note(self):
-        results = run_trials(mobility_config("mrwp-pause", {"pause_time": 1.0}, engine="batch"), 2)
-        assert all("mobility_execution" not in r.extras for r in results)
-
-    def test_auto_keeps_escape_hatch_models_on_the_scalar_engine(self, scalar_only_model):
-        config = mobility_config(scalar_only_model, {}, engine="auto")
-        assert config.resolved_engine == "scalar"
+    def test_scalar_engine_runs_model_without_batch_twin(self, scalar_only_model):
+        config = mobility_config(scalar_only_model, {}, max_steps=120, engine="scalar")
+        reference = mobility_config("mrwp", {}, max_steps=120, engine="scalar")
+        assert result_fingerprint(run_trials(config, 3)) == result_fingerprint(
+            run_trials(reference, 3)
+        )
 
 
 class TestConfigSurface:
@@ -304,6 +291,23 @@ class TestConfigSurface:
         assert set(BATCH_MOBILITY_REGISTRY) == set(MODEL_REGISTRY)
         # Registering a model requires declaring its option vocabulary too.
         assert set(_MOBILITY_OPTION_KEYS) == set(MODEL_REGISTRY)
+
+    # The models' own parameter checks run when the config is built, on
+    # either engine (MODEL_VALIDATORS), not when the model is.
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_pause_model_rejects_zero_speed_at_construction(self, engine):
+        with pytest.raises(ValueError, match="pause-MRWP requires positive speed"):
+            mobility_config("mrwp-pause", {}, speed=0.0, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_random_walk_rejects_speed_above_side_at_construction(self, engine):
+        with pytest.raises(ValueError, match="must not exceed side"):
+            mobility_config("random-walk", {}, speed=1.5 * SIDE, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["batch", "scalar"])
+    def test_composite_rejects_two_agents_at_construction(self, engine):
+        with pytest.raises(ValueError, match=r"ferries must be in \[1, n - 2\]"):
+            mobility_config("composite", {}, n=2, engine=engine)
 
     def test_no_init_models_reject_init_at_config_time(self):
         for name in ("ferry", "random-walk", "random-direction"):

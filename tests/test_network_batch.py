@@ -305,9 +305,9 @@ class TestBatchTemporalBFS:
         sources = [3, 3, 20]
         batch = journey_times(series, sources, engine="batch")
         scalar = journey_times(series, sources, engine="scalar")
-        auto = journey_times(series, sources)
+        default = journey_times(series, sources)
         assert np.array_equal(batch, scalar)
-        assert np.array_equal(batch, auto)
+        assert np.array_equal(batch, default)
 
     def test_empty_and_invalid_sources(self):
         series = _series(n=20, steps=2)
@@ -315,8 +315,9 @@ class TestBatchTemporalBFS:
         assert journey_times(series, [], engine="scalar").shape == (0, 20)
         with pytest.raises(ValueError):
             batch_temporal_bfs(series, [20])
-        with pytest.raises(ValueError):
-            journey_times(series, [0], engine="warp")
+        for engine in ("warp", "auto"):
+            with pytest.raises(ValueError, match="'batch' or 'scalar'"):
+                journey_times(series, [0], engine=engine)
 
 
 class TestBatchContacts:

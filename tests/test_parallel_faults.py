@@ -8,8 +8,8 @@ contract: completed jobs keep their results, crashed jobs are retried solo
 on the deterministic backoff schedule, transient crashers recover
 bit-exactly, and persistent crashers are quarantined as poison jobs with
 an actionable error naming the job — plus the sweep engine-dispatch
-regression (each point must run through *its own* resolved engine, not
-its neighbours').
+regression (each point must run through *its own* engine, not its
+neighbours').
 """
 
 import os
@@ -183,15 +183,15 @@ class TestPoisonQuarantine:
 
 
 class TestSweepEngineDispatch:
-    """Regression: each sweep point runs through its OWN resolved engine.
+    """Regression: each sweep point runs through its OWN engine.
 
     The bug: the old parallel sweep branched once on the *base* config's
-    ``resolved_engine``, so a sweep crossing an ``engine="auto"``
-    resolution boundary shipped every point through the base config's
-    engine.  Every *built-in* mobility is batch-native, so the boundary is
-    recreated the way a user-supplied scalar-only model would: by removing
-    ``ferry`` from ``BATCH_MOBILITY_REGISTRY`` for the test (``jobs=1``
-    keeps dispatch in-process, so both the registry patch and the counting
+    engine, so a sweep mixing engines shipped every point through the base
+    config's engine.  Every *built-in* mobility is batch-native, so a
+    scalar-only point is recreated the way a user-supplied scalar-only
+    model would run: by removing ``ferry`` from ``BATCH_MOBILITY_REGISTRY``
+    for the test and running it with ``engine="scalar"`` (``jobs=1`` keeps
+    dispatch in-process, so both the registry patch and the counting
     monkeypatches are visible to every call).
     """
 
@@ -222,20 +222,19 @@ class TestSweepEngineDispatch:
         monkeypatch.setattr(runner_mod, "run_flooding", counting_scalar)
         return batch_calls, scalar_calls
 
-    def test_mobility_sweep_crossing_auto_boundary(self, monkeypatch):
+    def test_mobility_sweep_crossing_engine_boundary(self, monkeypatch):
         self._scalar_only_ferry(monkeypatch)
         batch_calls, scalar_calls = self._counting(monkeypatch)
-        base = standard_config(
-            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="mrwp"
-        )
-        plan = SweepPlan.over_parameter(base, "mobility", ["mrwp", "ferry"], n_trials=2)
+        base = standard_config(60, radius_factor=1.2, max_steps=40, seed=7, mobility="mrwp")
+        ferry = base.with_options(mobility="ferry", engine="scalar")
+        plan = SweepPlan([(base, 2, "mrwp"), (ferry, 2, "ferry")])
         out = run_sweep(plan, jobs=1)
         assert set(batch_calls) == {"mrwp"}  # the native-batch point only
-        assert set(scalar_calls) == {"ferry"}  # ferry resolves to scalar
+        assert set(scalar_calls) == {"ferry"}  # ferry runs on its own scalar engine
         assert [point.engine for point in out] == ["batch", "scalar"]
         # And the results are the per-point serial truth.
-        for point in out:
-            expected = run_trials(base.with_options(mobility=point.key), 2)
+        for point, config in zip(out, (base, ferry)):
+            expected = run_trials(config, 2)
             assert [r.flooding_time for r in point.results] == [
                 r.flooding_time for r in expected
             ]
@@ -244,9 +243,11 @@ class TestSweepEngineDispatch:
         self._scalar_only_ferry(monkeypatch)
         batch_calls, scalar_calls = self._counting(monkeypatch)
         base = standard_config(
-            60, radius_factor=1.2, max_steps=40, seed=7, engine="auto", mobility="ferry"
+            60, radius_factor=1.2, max_steps=40, seed=7, engine="scalar", mobility="ferry"
         )
-        plan = SweepPlan.over_parameter(base, "mobility", ["ferry", "rwp"], n_trials=2)
+        plan = SweepPlan(
+            [(base, 2, "ferry"), (base.with_options(mobility="rwp", engine="batch"), 2, "rwp")]
+        )
         run_sweep(plan, jobs=1)
         assert set(scalar_calls) == {"ferry"}
         assert set(batch_calls) == {"rwp"}  # pre-fix: everything ran scalar

@@ -150,8 +150,8 @@ class TestRetirementSemantics:
             protocol="parsimonious", protocol_options={"active_window": 1},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
+        scalar = run_trials(config.with_options(engine="scalar"), 6)
+        batch = run_trials(config, 6)
         assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
         stalled = [r for r in batch if r.stalled]
         assert stalled, "workload must exercise the window-close stall"
@@ -168,8 +168,8 @@ class TestRetirementSemantics:
             protocol="sir", protocol_options={"recovery_prob": 0.9},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
+        scalar = run_trials(config.with_options(engine="scalar"), 6)
+        batch = run_trials(config, 6)
         assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
         died_out = [r for r in batch if r.stalled]
         assert died_out, "workload must exercise SIR die-out"
@@ -183,8 +183,8 @@ class TestRetirementSemantics:
             protocol="crash-flooding", protocol_options={"crash_prob": 0.02},
             max_steps=400,
         )
-        scalar = run_trials(config, 6)
-        batch = run_trials(config.with_options(engine="batch"), 6)
+        scalar = run_trials(config.with_options(engine="scalar"), 6)
+        batch = run_trials(config, 6)
         assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
         survivors_only = [
             r for r in batch if r.completed and r.informed_history[-1] < 100
@@ -206,8 +206,8 @@ class TestRetirementSemantics:
             protocol="sir", protocol_options={"recovery_prob": 0.5},
             max_steps=400,
         )
-        scalar = run_trials(config, 8)
-        batch = run_trials(config.with_options(engine="batch"), 8)
+        scalar = run_trials(config.with_options(engine="scalar"), 8)
+        batch = run_trials(config, 8)
         assert [fingerprint(r) for r in scalar] == [fingerprint(r) for r in batch]
         n_steps = {r.n_steps for r in batch}
         assert len(n_steps) > 1, "workload must mix retirement steps"

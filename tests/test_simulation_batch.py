@@ -5,13 +5,13 @@ import pytest
 
 from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
 from repro.mobility import (
+    MODEL_REGISTRY,
     BatchManhattanRandomWaypoint,
     BatchRandomWalk,
     BatchRandomWaypoint,
     ManhattanRandomWaypoint,
     RandomWalk,
     RandomWaypoint,
-    ReplicatedBatchMobility,
 )
 from repro.protocols.flooding import BatchFloodingState
 from repro.simulation import (
@@ -22,6 +22,8 @@ from repro.simulation import (
     run_trials_parallel,
     standard_config,
 )
+from repro.simulation.config import _MOBILITY_OPTION_KEYS
+from repro.simulation.runner import run_flooding
 
 
 def assert_results_match(scalar_results, batch_results):
@@ -44,8 +46,8 @@ class TestSeedForSeedParity:
 
     def test_flooding_times_match_scalar(self):
         config = standard_config(120, seed=7)
-        scalar = run_trials(config, 8)
-        batch = run_trials(config.with_options(engine="batch"), 8)
+        scalar = run_trials(config.with_options(engine="scalar"), 8)
+        batch = run_trials(config, 8)
         assert_results_match(scalar, batch)
 
     @pytest.mark.parametrize(
@@ -53,7 +55,7 @@ class TestSeedForSeedParity:
         [
             {"mobility": "rwp"},
             {"mobility": "random-walk"},
-            {"mobility": "random-direction"},  # exercises the replicated fallback
+            {"mobility": "random-direction"},
             {"mobility": "mrwp-pause", "mobility_options": {"pause_time": 1.5}},
             {"multi_hop": True},
             {"init": "uniform"},
@@ -66,20 +68,22 @@ class TestSeedForSeedParity:
     )
     def test_parity_across_options(self, overrides):
         config = standard_config(80, seed=11, **overrides)
-        scalar = run_trials(config, 5)
-        batch = run_trials(config.with_options(engine="batch"), 5)
+        scalar = run_trials(config.with_options(engine="scalar"), 5)
+        batch = run_trials(config, 5)
         assert_results_match(scalar, batch)
 
     def test_parity_is_independent_of_batch_size(self):
-        config = standard_config(80, seed=3, engine="batch")
+        config = standard_config(80, seed=3)
         whole = run_trials(config, 7)
         sliced = run_trials(config.with_options(batch_size=3), 7)
         assert_results_match(whole, sliced)
 
     def test_sweep_with_batch_engine_matches_scalar(self):
-        plan = SweepPlan.over_parameter(standard_config(80, seed=5), "radius", [3.0, 4.0], 3)
-        scalar = run_sweep(plan, engine="scalar")
-        batch = run_sweep(plan, engine="batch")
+        config = standard_config(80, seed=5)
+        scalar = run_sweep(
+            SweepPlan.over_parameter(config.with_options(engine="scalar"), "radius", [3.0, 4.0], 3)
+        )
+        batch = run_sweep(SweepPlan.over_parameter(config, "radius", [3.0, 4.0], 3))
         for a, b in zip(scalar, batch):
             assert a.key == b.key
             assert a.summary == b.summary
@@ -88,7 +92,7 @@ class TestSeedForSeedParity:
     def test_batch_supports_every_registered_protocol(self):
         """PR 3: the batch engine is protocol-agnostic (the old behaviour
         — a deep ValueError for anything but flooding — is gone)."""
-        config = standard_config(80, seed=1, engine="batch", protocol="gossip")
+        config = standard_config(80, seed=1, protocol="gossip")
         results = run_trials(config, 2)
         assert len(results) == 2
 
@@ -96,16 +100,9 @@ class TestSeedForSeedParity:
         with pytest.raises(ValueError, match="unknown protocol"):
             standard_config(80, protocol="carrier-pigeon")
 
-    def test_auto_engine_resolves_to_batch_for_batchable_protocols(self):
-        config = standard_config(80, seed=1, engine="auto", protocol="sir")
-        assert config.resolved_engine == "batch"
-        assert standard_config(80, engine="scalar").resolved_engine == "scalar"
-
-    def test_auto_engine_matches_batch_results(self):
-        config = standard_config(80, seed=29)
-        batch = run_trials(config.with_options(engine="batch"), 4)
-        auto = run_trials(config.with_options(engine="auto"), 4)
-        assert_results_match(batch, auto)
+    def test_auto_engine_is_rejected_naming_valid_engines(self):
+        with pytest.raises(ValueError, match=r"engine must be one of \('batch', 'scalar'\)"):
+            standard_config(80, engine="auto")
 
 
 class TestBatchMobility:
@@ -206,21 +203,12 @@ class TestBatchMobility:
         # Theorem 1: the central box carries ~2.6x the corner box's mass.
         assert center > corner * 1.5
 
-    def test_replicated_fallback_matches_scalar(self):
-        scalar_rngs, batch_rngs = self._rng_pairs(25)
-        models = [
-            ManhattanRandomWaypoint(self.N, self.SIDE, self.SPEED, rng=r)
-            for r in batch_rngs
-        ]
-        reference = [
-            ManhattanRandomWaypoint(self.N, self.SIDE, self.SPEED, rng=r)
-            for r in scalar_rngs
-        ]
-        batch = ReplicatedBatchMobility(models)
-        assert batch.batch_size == self.B
-        for _ in range(5):
-            expected = np.stack([m.step() for m in reference])
-            assert np.array_equal(batch.step(), expected)
+    def test_batch_engine_rejects_mobility_without_batch_twin(self, monkeypatch):
+        monkeypatch.setitem(MODEL_REGISTRY, "mrwp-scalar-only", ManhattanRandomWaypoint)
+        monkeypatch.setitem(_MOBILITY_OPTION_KEYS, "mrwp-scalar-only", frozenset())
+        with pytest.raises(ValueError, match="'mrwp-scalar-only' has no batched"):
+            standard_config(50, mobility="mrwp-scalar-only")
+        assert standard_config(50, mobility="mrwp-scalar-only", engine="scalar")
 
 
 class TestBatchNeighborQuery:
@@ -300,8 +288,8 @@ class TestShardingDeterminism:
 
     def test_parallel_batch_matches_serial_and_scalar(self):
         config = standard_config(80, seed=13)
-        scalar = run_trials(config, 6)
-        batched = config.with_options(engine="batch", batch_size=2)
+        scalar = run_trials(config.with_options(engine="scalar"), 6)
+        batched = config.with_options(batch_size=2)
         serial = run_trials(batched, 6)
         parallel = run_trials_parallel(batched, 6, max_workers=2)
         sharded = run_trials_parallel(batched.with_options(batch_size=0), 6, max_workers=3)
@@ -311,7 +299,7 @@ class TestShardingDeterminism:
 
     def test_parallel_sweep_batch_matches_serial(self):
         plan = SweepPlan.over_parameter(
-            standard_config(80, seed=17, engine="batch"), "radius", [3.0, 3.5], 4
+            standard_config(80, seed=17), "radius", [3.0, 3.5], 4
         )
         serial = run_sweep(plan, jobs=1)
         parallel = run_sweep(plan, jobs=2)
@@ -321,7 +309,7 @@ class TestShardingDeterminism:
             assert_results_match(a.results, b.results)
 
     def test_repeated_calls_are_identical(self):
-        config = standard_config(80, seed=19, engine="batch")
+        config = standard_config(80, seed=19)
         first = run_trials(config, 4)
         second = run_trials(config, 4)
         assert_results_match(first, second)
@@ -336,12 +324,80 @@ class TestConfigKnobs:
         with pytest.raises(ValueError, match="batch_size"):
             standard_config(50, batch_size=-1)
 
-    def test_defaults_are_scalar(self):
+    def test_defaults_are_batch(self):
         config = standard_config(50)
-        assert config.engine == "scalar"
+        assert config.engine == "batch"
         assert config.batch_size == 0
 
     def test_run_protocol_batch_requires_seed_seqs(self):
         config = standard_config(50)
         with pytest.raises(ValueError, match="seed_seqs"):
             run_protocol_batch(config, [])
+
+
+class _StepLog:
+    """Observer recording every call: step, informed count, newly informed."""
+
+    def start(self, positions, protocol):
+        self.calls = [(0, protocol.informed_count, ())]
+
+    def observe(self, t, positions, protocol, newly):
+        self.calls.append((t, protocol.informed_count, tuple(newly.tolist())))
+
+
+class TestBatchObservers:
+    """The per-replica observer hook of the batch engine."""
+
+    @staticmethod
+    def observers(config):
+        from repro.core.cells import CellGrid
+        from repro.core.spread import InformedCellTracker
+        from repro.core.zones import ZonePartition
+
+        grid = CellGrid.for_radius(config.side, config.radius)
+        return [InformedCellTracker(grid, ZonePartition(grid, config.n)), _StepLog()]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_q_series_matches_scalar_simulation(self, seed):
+        config = standard_config(
+            600, radius_factor=1.6, seed=seed, source="central", track_zones=False
+        )
+        attached = [self.observers(config) for _ in range(4)]
+        results = run_protocol_batch(
+            config, np.random.SeedSequence(seed).spawn(4), observers=attached
+        )
+        # Replicas retire at different steps, so a hook that kept observing
+        # retired replicas would show up as extra calls below.
+        assert len({r.n_steps for r in results}) > 1
+        seqs = np.random.SeedSequence(seed).spawn(4)  # spawning is stateful: fresh ones
+        for seq, (tracker, log), result in zip(seqs, attached, results):
+            reference = self.observers(config)
+            run_flooding(config, seed_seq=seq, extra_observers=reference)
+            assert tracker.q_series().tolist() == reference[0].q_series().tolist()
+            assert log.calls == reference[1].calls
+            assert [t for t, _, _ in log.calls] == list(range(result.n_steps + 1))
+            assert result.extras["observers"] == [tracker, log]
+
+    def test_stalled_replicas_stop_being_observed(self):
+        config = standard_config(
+            100, radius_factor=0.7, seed=3, max_steps=400,
+            protocol="sir", protocol_options={"recovery_prob": 0.9},
+        )
+        logs = [[_StepLog()] for _ in range(6)]
+        results = run_protocol_batch(config, np.random.SeedSequence(3).spawn(6), observers=logs)
+        assert any(r.stalled for r in results)
+        seqs = np.random.SeedSequence(3).spawn(6)
+        for seq, (log,), result in zip(seqs, logs, results):
+            reference = _StepLog()
+            run_flooding(config, seed_seq=seq, extra_observers=[reference])
+            assert log.calls == reference.calls
+            assert len(log.calls) == result.n_steps + 1
+
+    def test_observer_lists_must_match_the_batch(self):
+        config = standard_config(50, seed=1)
+        with pytest.raises(ValueError, match="observer lists"):
+            run_protocol_batch(config, np.random.SeedSequence(1).spawn(3), observers=[[]])
+
+    def test_no_observers_attach_nothing(self):
+        (result,) = run_protocol_batch(standard_config(50, seed=1), [np.random.SeedSequence(1)])
+        assert "observers" not in result.extras

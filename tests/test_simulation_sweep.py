@@ -31,7 +31,7 @@ def fingerprint(results):
 
 
 #: A mobility model registered without a batch twin, as a user-supplied
-#: scalar-only model would be: ``engine="auto"`` resolves it to scalar.
+#: scalar-only model would be: it runs only on ``engine="scalar"``.
 SCALAR_ONLY = "mrwp-scalar-only"
 
 
@@ -82,38 +82,39 @@ class TestPlan:
 class TestParityAgainstHandLoop:
     """The acceptance gate: scheduling == hand-looping run_trials."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_bit_identical_per_point(self, engine, jobs, scalar_only_mobility):
-        plan = small_plan()
-        # The engine-misdispatch regression: a point that resolves to a
-        # different engine than its neighbours must run through its own.
-        plan.add(BASE.with_options(mobility=scalar_only_mobility), 2, key="scalar-only")
-        points = run_sweep(plan, engine=engine, jobs=jobs)
+        plan = SweepPlan(
+            SweepPoint(p.config.with_options(engine=engine), p.n_trials, key=p.key)
+            for p in small_plan()
+        )
+        # The engine-misdispatch regression: a point on a different engine
+        # than its neighbours must run through its own.
+        plan.add(
+            BASE.with_options(mobility=scalar_only_mobility, engine="scalar"), 2, key="scalar-only"
+        )
+        points = run_sweep(plan, jobs=jobs)
         assert [p.key for p in points] == ["base", "wide", "reseeded", "scalar-only"]
         for point, source in zip(points, plan.points):
-            executed = source.config.with_options(engine=engine)
-            expected = run_trials(executed, source.n_trials)
+            # The scalar engine is the oracle for every point.
+            expected = run_trials(source.config.with_options(engine="scalar"), source.n_trials)
             assert fingerprint(point.results) == fingerprint(expected), (engine, jobs, point.key)
             assert point.n_trials == source.n_trials == len(point.results)
-            assert point.engine == executed.resolved_engine
-            # Only a batch run of the scalar-only model replicates it.
-            replicated = ["mobility_execution" in r.extras for r in point.results]
-            assert replicated == [point.engine == "batch" and point.key == "scalar-only"] * len(
-                point.results
-            )
-        if engine == "auto":
-            assert [p.engine for p in points] == ["batch", "batch", "batch", "scalar"]
+        assert [p.engine for p in points] == [engine] * 3 + ["scalar"]
 
-    def test_engine_none_keeps_config_engine(self):
-        config = BASE.with_options(engine="batch")
-        (point,) = run_sweep([SweepPoint(config, 2)])
+    def test_point_runs_on_its_config_engine(self):
+        assert BASE.engine == "batch"
+        (point,) = run_sweep([SweepPoint(BASE, 2)])
         assert point.engine == "batch"
-        assert fingerprint(point.results) == fingerprint(run_trials(config, 2))
+        scalar = BASE.with_options(engine="scalar")
+        (reference,) = run_sweep([SweepPoint(scalar, 2)])
+        assert reference.engine == "scalar"
+        assert fingerprint(point.results) == fingerprint(reference.results)
 
     def test_batch_size_slicing_is_invisible(self):
-        reference = run_sweep(small_plan(), engine="batch")
-        sliced = run_sweep(small_plan(), engine="batch", batch_size=1)
+        reference = run_sweep(small_plan())
+        sliced = run_sweep(small_plan(), batch_size=1)
         for a, b in zip(reference, sliced):
             assert fingerprint(a.results) == fingerprint(b.results)
 
@@ -143,7 +144,7 @@ class TestDedup:
         plan = SweepPlan()
         plan.add(BASE, 3, key="a")
         plan.add(BASE, 2, key="b")  # same config, fewer trials
-        points = run_sweep(plan, engine="batch")
+        points = run_sweep(plan)
         # One deduplicated batch job serves both points.
         assert len(calls) == 1
         assert fingerprint(points[1].results) == fingerprint(points[0].results)[:2]
@@ -152,7 +153,7 @@ class TestDedup:
         plan = SweepPlan()
         plan.add(BASE, 2, key="short")
         plan.add(BASE, 4, key="long")
-        short, long = run_sweep(plan, engine="scalar")
+        short, long = run_sweep(plan)
         assert fingerprint(short.results) == fingerprint(run_trials(BASE, 2))
         assert fingerprint(long.results) == fingerprint(run_trials(BASE, 4))
 
@@ -191,8 +192,8 @@ class TestObservers:
     def test_observers_returned_per_trial(self, jobs):
         plan = SweepPlan()
         plan.add(BASE, 2, key="obs", observer_factory=_recorder_factory)
-        (point,) = run_sweep(plan, engine="auto", jobs=jobs)
-        assert point.engine == "scalar"  # observers force the scalar engine
+        (point,) = run_sweep(plan, jobs=jobs)
+        assert point.engine == "batch"  # the batch engine feeds observers per replica
         recorders = point.observers()
         assert len(recorders) == 2
         for recorder, result in zip(recorders, point.results):
@@ -201,15 +202,20 @@ class TestObservers:
     def test_observer_results_match_plain_runs(self):
         plan = SweepPlan()
         plan.add(BASE, 2, observer_factory=_recorder_factory)
-        (point,) = run_sweep(plan, engine="auto")
+        (point,) = run_sweep(plan)
         expected = run_trials(BASE.with_options(engine="scalar"), 2)
         assert fingerprint(point.results) == fingerprint(expected)
 
-    def test_explicit_batch_engine_rejected(self):
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_observer_series_identical_across_engines(self, engine):
         plan = SweepPlan()
-        plan.add(BASE, 1, key="obs", observer_factory=_recorder_factory)
-        with pytest.raises(ValueError, match="scalar"):
-            run_sweep(plan, engine="batch")
+        plan.add(BASE.with_options(engine=engine), 3, observer_factory=_recorder_factory)
+        (point,) = run_sweep(plan)
+        assert point.engine == engine
+        reference = run_trials(BASE.with_options(engine="scalar"), 3)
+        assert [r.informed_history().tolist() for r in point.observers()] == [
+            r.informed_history.tolist() for r in reference
+        ]
 
     def test_plain_runs_carry_no_observers(self):
         (point,) = run_sweep([SweepPoint(BASE, 1)])

@@ -162,14 +162,13 @@ class TestSeedSchedulePrefix:
 class TestAdaptiveIsAPrefix:
     """Adaptive results == a prefix of the fixed-budget run, always."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_prefix_across_engines_and_jobs(self, engine, jobs):
         rule = StoppingRule(ci_width=0.5, batch=1)
-        (point,) = run_sweep(
-            [SweepPoint(BASE, 6)], engine=engine, jobs=jobs, stopping=rule
-        )
-        fixed = run_trials(BASE.with_options(engine=engine), 6)
+        config = BASE.with_options(engine=engine)
+        (point,) = run_sweep([SweepPoint(config, 6)], jobs=jobs, stopping=rule)
+        fixed = run_trials(BASE.with_options(engine="scalar"), 6)
         assert point.n_trials <= 6
         assert fingerprint(point.results) == fingerprint(fixed)[: point.n_trials]
         assert point.summary.n_trials == point.n_trials
@@ -177,8 +176,10 @@ class TestAdaptiveIsAPrefix:
     def test_stop_trial_deterministic_across_engines(self):
         rule = StoppingRule(ci_width=0.5, batch=1)
         counts = {
-            engine: run_sweep([SweepPoint(BASE, 6)], engine=engine, stopping=rule)[0].n_trials
-            for engine in ("scalar", "batch", "auto")
+            engine: run_sweep(
+                [SweepPoint(BASE.with_options(engine=engine), 6)], stopping=rule
+            )[0].n_trials
+            for engine in ("scalar", "batch")
         }
         assert len(set(counts.values())) == 1, counts
 

@@ -53,11 +53,12 @@ def fingerprint(results):
     ]
 
 
-def small_plan():
+def small_plan(engine="batch"):
+    base = BASE.with_options(engine=engine)
     plan = SweepPlan()
-    plan.add(BASE, 3, key="base")
-    plan.add(BASE.with_options(radius=BASE.radius * 1.5), 2, key="wide")
-    plan.add(BASE.with_options(seed=11), 4, key="reseeded")
+    plan.add(base, 3, key="base")
+    plan.add(base.with_options(radius=base.radius * 1.5), 2, key="wide")
+    plan.add(base.with_options(seed=11), 4, key="reseeded")
     return plan
 
 
@@ -97,7 +98,7 @@ def _arm_write_bomb(monkeypatch, detonate_after: int):
 class TestKillAndResume:
     """Crash the sweep mid-flight; resume must be byte-identical."""
 
-    @pytest.mark.parametrize("engine", ["scalar", "batch", "auto"])
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_crash_after_first_flush_resumes_bit_exact(
         self, tmp_path, monkeypatch, engine, jobs
@@ -106,18 +107,18 @@ class TestKillAndResume:
         # the bomb goes off with genuinely partial state on disk.  The
         # invariant: interrupted + resumed == the same run uninterrupted.
         rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
-        expected = table(run_sweep(small_plan(), engine=engine, jobs=jobs, stopping=rule))
+        expected = table(run_sweep(small_plan(engine), jobs=jobs, stopping=rule))
         ck = str(tmp_path / "ck")
 
         _arm_write_bomb(monkeypatch, detonate_after=2)
         with pytest.raises(_WriteBomb):
             run_sweep(
-                small_plan(), engine=engine, jobs=jobs, stopping=rule, checkpoint=ck
+                small_plan(engine), jobs=jobs, stopping=rule, checkpoint=ck
             )
         monkeypatch.undo()
 
         resumed = run_sweep(
-            small_plan(), engine=engine, jobs=jobs, stopping=rule,
+            small_plan(engine), jobs=jobs, stopping=rule,
             checkpoint=ck, resume=True,
         )
         assert table(resumed) == expected, (engine, jobs)
@@ -228,7 +229,7 @@ _KILL_SCRIPT = textwrap.dedent(
     from repro.simulation.config import standard_config
     from repro.simulation.sweep import SweepPlan, StoppingRule, run_sweep
 
-    BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
+    BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5, engine={engine!r})
     plan = SweepPlan()
     plan.add(BASE, 3, key="base")
     plan.add(BASE.with_options(radius=BASE.radius * 1.5), 2, key="wide")
@@ -247,7 +248,7 @@ _KILL_SCRIPT = textwrap.dedent(
     SweepCheckpoint.write_group = killing
 
     rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
-    run_sweep(plan, engine={engine!r}, jobs=2, stopping=rule, checkpoint={ck!r})
+    run_sweep(plan, jobs=2, stopping=rule, checkpoint={ck!r})
     """
 )
 
@@ -285,10 +286,10 @@ class TestSigkillLeg:
 
         rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
         resumed = run_sweep(
-            small_plan(), engine=engine, jobs=2, stopping=rule,
+            small_plan(engine), jobs=2, stopping=rule,
             checkpoint=ck, resume=True,
         )
-        expected = run_sweep(small_plan(), engine=engine, jobs=2, stopping=rule)
+        expected = run_sweep(small_plan(engine), jobs=2, stopping=rule)
         assert table(resumed) == table(expected)
 
 
@@ -342,7 +343,7 @@ class TestFingerprint:
             ),
             2, key="b",
         )
-        points = run_sweep(plan, engine="batch")
+        points = run_sweep(plan)
         assert len(calls) == 1  # one deduplicated batch job serves both
         assert fingerprint(points[1].results) == fingerprint(points[0].results)[:2]
 

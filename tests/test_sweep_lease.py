@@ -34,11 +34,12 @@ from repro.simulation.sweep import SweepPlan, StoppingRule, run_sweep
 BASE = standard_config(140, radius_factor=1.1, max_steps=600, seed=5)
 
 
-def small_plan():
+def small_plan(engine="batch"):
+    base = BASE.with_options(engine=engine)
     plan = SweepPlan()
-    plan.add(BASE, 3, key="base")
-    plan.add(BASE.with_options(radius=BASE.radius * 1.5), 2, key="wide")
-    plan.add(BASE.with_options(seed=11), 4, key="reseeded")
+    plan.add(base, 3, key="base")
+    plan.add(base.with_options(radius=base.radius * 1.5), 2, key="wide")
+    plan.add(base.with_options(seed=11), 4, key="reseeded")
     return plan
 
 
@@ -190,10 +191,10 @@ class TestCooperativeSweeps:
     @pytest.mark.parametrize("engine", ["scalar", "batch"])
     def test_two_concurrent_jobs2_workers_bit_exact(self, tmp_path, engine):
         """The satellite scenario: two jobs=2 workers on one checkpoint."""
-        expected = run_sweep(small_plan(), engine=engine, jobs=2)
+        expected = run_sweep(small_plan(engine), jobs=2)
         ck = str(tmp_path / "ck")
         got = run_sweep(
-            small_plan(), engine=engine, jobs=2, checkpoint=ck, workers=2
+            small_plan(engine), jobs=2, checkpoint=ck, workers=2
         )
         assert table(got) == table(expected)
         assert lease_files(ck) == []
@@ -320,7 +321,7 @@ class TestPoisonQuarantineEndToEnd:
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
         with pytest.raises(PoisonJobError) as excinfo:
             run_sweep(
-                small_plan(), engine="scalar", jobs=2, checkpoint=ck, max_retries=1
+                small_plan("scalar"), jobs=2, checkpoint=ck, max_retries=1
             )
         message = str(excinfo.value)
         # The error names the sweep point, trial range, seed, and marker.
@@ -344,22 +345,22 @@ class TestPoisonQuarantineEndToEnd:
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", _REAL_RUN_SWEEP_JOB)
         with pytest.raises(PoisonJobError, match="previous \n?run|previous"):
             run_sweep(
-                small_plan(), engine="scalar", jobs=2, checkpoint=ck, resume=True
+                small_plan("scalar"), jobs=2, checkpoint=ck, resume=True
             )
 
         # Deleting the marker (the error's instruction) unblocks the retry,
         # and the final table is the uninterrupted-solo truth.
         os.unlink(os.path.join(ck, markers[0]))
         recovered = run_sweep(
-            small_plan(), engine="scalar", jobs=2, checkpoint=ck, resume=True
+            small_plan("scalar"), jobs=2, checkpoint=ck, resume=True
         )
-        assert table(recovered) == table(run_sweep(small_plan(), engine="scalar"))
+        assert table(recovered) == table(run_sweep(small_plan("scalar")))
 
     def test_no_checkpoint_still_raises_with_labels(self, monkeypatch):
         sweep_mod = importlib.import_module("repro.simulation.sweep")
         monkeypatch.setattr(sweep_mod, "_run_sweep_job", _poisoned_run_sweep_job)
         rule = StoppingRule(ci_width=1e-12, batch=1, min_trials=1)
         with pytest.raises(PoisonJobError) as excinfo:
-            run_sweep(small_plan(), engine="scalar", jobs=2, stopping=rule, max_retries=0)
+            run_sweep(small_plan("scalar"), jobs=2, stopping=rule, max_retries=0)
         assert "'reseeded'" in str(excinfo.value)
         assert "seed 11" in str(excinfo.value)
