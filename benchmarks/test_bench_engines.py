@@ -1,15 +1,15 @@
 """Microbenchmarks of the neighbor engines (the simulation's hot path).
 
-Ablation: bucket grid (pure numpy) vs scipy cKDTree vs brute force on the
-per-step flooding query (``any_within``) and the disk-graph edge query
-(``pairs_within``).  Run with ``pytest benchmarks/ --benchmark-only`` and
-compare the backend groups.
+The scalar grid engine on the per-step flooding query (``any_within``),
+the disk-graph edge query (``pairs_within``) and occupancy counting, plus
+the batch engine's per-replica infection test.  Run with
+``pytest benchmarks/ --benchmark-only``.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import available_backends, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery, GridNeighborEngine
 
 SIDE = 100.0
 RADIUS = 3.0
@@ -25,52 +25,38 @@ def snapshot():
     return positions, informed
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_bench_any_within(benchmark, snapshot, backend):
+def test_bench_any_within(benchmark, snapshot):
     """The flooding infection test: informed sources vs uninformed queries."""
-    if backend == "brute" and N > 3_000:
-        pytest.skip("quadratic reference engine: too slow at this n")
     positions, informed = snapshot
-    engine = make_engine(backend, SIDE)
+    engine = GridNeighborEngine(SIDE)
     sources = positions[informed]
     queries = positions[~informed]
     result = benchmark(engine.any_within, sources, queries, RADIUS)
     assert result.shape == (queries.shape[0],)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_bench_pairs_within(benchmark, snapshot, backend):
+def test_bench_pairs_within(benchmark, snapshot):
     """Disk-graph edge enumeration for one snapshot."""
-    if backend == "brute":
-        pytest.skip("quadratic reference engine: too slow at this n")
     positions, _ = snapshot
-    engine = make_engine(backend, SIDE)
+    engine = GridNeighborEngine(SIDE)
     pairs = benchmark(engine.pairs_within, positions, RADIUS)
     assert pairs.shape[1] == 2
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_bench_count_within(benchmark, snapshot, backend):
+def test_bench_count_within(benchmark, snapshot):
     """Occupancy counting (density-condition monitoring)."""
-    if backend == "brute":
-        pytest.skip("quadratic reference engine: too slow at this n")
     positions, informed = snapshot
-    engine = make_engine(backend, SIDE)
+    engine = GridNeighborEngine(SIDE)
     counts = benchmark(engine.count_within, positions[informed], positions[~informed], RADIUS)
     assert counts.shape == (int(np.count_nonzero(~informed)),)
 
 
-@pytest.mark.parametrize("backend", ["cells", "kdtree", "grid"])
-def test_bench_batch_any_within(benchmark, backend):
+def test_bench_batch_any_within(benchmark):
     """The batch engine's per-replica infection test, one call for B trials."""
-    from repro.geometry.neighbors import BatchNeighborQuery
-
-    if backend not in available_backends() + ["cells"]:
-        pytest.skip(f"backend {backend} unavailable")
     rng = np.random.default_rng(1)
     batch, n, side, radius = 16, 2_000, 44.7, 2.8
     positions = rng.uniform(0, side, size=(batch, n, 2))
     informed = rng.uniform(size=(batch, n)) < 0.3
-    query = BatchNeighborQuery(side, batch, backend=backend)
+    query = BatchNeighborQuery(side, batch)
     hits = benchmark(query.any_within, positions, informed, ~informed, radius)
     assert hits.shape == (batch, n)

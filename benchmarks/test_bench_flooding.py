@@ -2,34 +2,19 @@
 
 Ablations benchmarked (the design decisions called out in DESIGN.md):
 
-* neighbor-engine backend (grid vs kdtree) driving a full flooding run;
 * single-hop (paper semantics) vs intra-snapshot multi-hop;
 * stationary (perfect simulation) vs uniform cold-start initialization.
 """
 
 import pytest
 
-from repro.geometry.neighbors import available_backends
 from repro.simulation.config import standard_config
 from repro.simulation.runner import run_flooding
-
-FAST_BACKENDS = [b for b in available_backends() if b != "brute"]
-
 
 def _run(config):
     result = run_flooding(config)
     assert result.completed
     return result
-
-
-@pytest.mark.parametrize("backend", FAST_BACKENDS)
-def test_bench_flooding_run_backend(benchmark, backend):
-    """Full flooding run, n=2000, by neighbor backend."""
-    config = standard_config(
-        2_000, radius_factor=1.5, speed_fraction=0.25, seed=1, backend=backend,
-        max_steps=5_000,
-    )
-    benchmark.pedantic(_run, args=(config,), rounds=3, iterations=1)
 
 
 @pytest.mark.parametrize("multi_hop", [False, True], ids=["single-hop", "multi-hop"])

@@ -4,7 +4,7 @@ Shares its workload builders with the ``repro bench`` CLI harness
 (:mod:`repro.bench`), so the pytest-benchmark view and the JSON
 perf-trajectory measure the same thing.  Compare the groups:
 ``grid_index`` (counting-sort build per round), ``batch_infection_kernel``
-(cell cover vs the tiled engine).
+(the batch engine's infection test on the numpy tier).
 """
 
 import math
@@ -13,7 +13,7 @@ import pytest
 
 from repro.bench import batch_infection_workload, drifting_points
 from repro.geometry.grid import GridIndex
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends
+from repro.geometry.neighbors import BatchNeighborQuery
 
 N = 5_000
 SIDE = math.sqrt(N)
@@ -38,15 +38,12 @@ def test_bench_grid_index(benchmark, snapshots):
     assert index.size == N
 
 
-@pytest.mark.parametrize("strategy", ["cells", "tiled"])
-def test_bench_batch_infection_kernel(benchmark, strategy):
-    """The flooding infection test at a mid-flood state: cell cover vs the
-    tiled engine."""
+def test_bench_batch_infection_kernel(benchmark):
+    """The flooding infection test at a mid-flood state (cell cover plus
+    the exact shell)."""
     batch, n = 8, 2_000
     side, radius = math.sqrt(n), 2.4
     positions, informed, uninformed = batch_infection_workload(batch, n, side)
-    if strategy == "tiled":
-        strategy = "kdtree" if "kdtree" in available_backends() else "grid"
-    query = BatchNeighborQuery(side, batch, backend=strategy)
+    query = BatchNeighborQuery(side, batch)
     hits = benchmark(query.any_within, positions, informed, uninformed, radius)
     assert hits.shape == (batch, n)

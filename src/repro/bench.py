@@ -50,7 +50,7 @@ import time
 import numpy as np
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends
+from repro.geometry.neighbors import BatchNeighborQuery
 from repro.simulation.config import FloodingConfig, standard_config
 from repro.simulation.runner import run_trials
 
@@ -230,33 +230,26 @@ def _bench_grid_index(repeats: int, smoke: bool) -> list:
     ]
 
 
-def _bench_batch_any_within(repeats: int, smoke: bool) -> tuple:
-    """The batched infection kernel: cell cover vs the tiled engine."""
+def _bench_batch_any_within(repeats: int, smoke: bool) -> list:
+    """The batched infection test on the numpy tier (cell cover + exact shell)."""
     batch, n = (4, 500) if smoke else (16, 2_000)
     side, radius = math.sqrt(n) * 0.7071 * 2, 2.8
     positions, informed, uninformed = batch_infection_workload(batch, n, side)
-    tiled = "kdtree" if "kdtree" in available_backends() else "grid"
-    queries = {
-        "cells": BatchNeighborQuery(side, batch, backend="cells"),
-        "tiled": BatchNeighborQuery(side, batch, backend=tiled),
-    }
+    query = BatchNeighborQuery(side, batch)
 
-    def run(name):
-        return queries[name].any_within(positions, informed, uninformed, radius)
+    def run():
+        return query.any_within(positions, informed, uninformed, radius)
 
-    best = _interleaved_best({name: (lambda k=name: run(k)) for name in queries}, repeats)
-    parity_ok = bool(np.array_equal(run("cells"), run("tiled")))
-    kernels = [
+    seconds = _interleaved_best({"cells": run}, repeats)["cells"]
+    return [
         {
-            "name": f"batch_any_within_{name}",
+            "name": "batch_any_within_cells",
             "params": {"batch": batch, "n": n, "radius": radius},
             "seconds": seconds,
             "per_call": seconds,
             "repeats": repeats,
         }
-        for name, seconds in best.items()
     ]
-    return kernels, parity_ok
 
 
 # ----------------------------------------------------------------------
@@ -318,7 +311,7 @@ def _bench_end_to_end(workload: dict, repeats: int, include_scalar: bool) -> tup
 
 
 def _parity_sweep(smoke: bool) -> dict:
-    """Cross-engine / cross-backend result equality at a small scale.
+    """Cross-engine / cross-tier result equality at a small scale.
 
     Cheap enough for CI; the exhaustive randomized sweep lives in
     ``tests/test_flooding_parity.py``.
@@ -326,10 +319,10 @@ def _parity_sweep(smoke: bool) -> dict:
     workload = {"n": 150, "trials": 6, "radius_factor": 1.0, "seed": 11}
     reference = _result_fingerprint(run_trials(_config(workload, "scalar"), workload["trials"]))
     checks = {}
-    for backend in ["auto"] + available_backends():
-        config = _config(workload, "batch").with_options(backend=backend)
+    for kernels in ("auto", "numpy"):
+        config = _config(workload, "batch").with_options(kernels=kernels)
         fingerprint = _result_fingerprint(run_trials(config, workload["trials"]))
-        checks[f"batch:backend={backend}"] = fingerprint == reference
+        checks[f"batch:kernels={kernels}"] = fingerprint == reference
     return {"workload": workload, "checks": checks, "ok": all(checks.values())}
 
 
@@ -865,7 +858,7 @@ def _kernel_tier_workloads(smoke: bool) -> list:
     def run_contacts(tier):
         with use_kernel_tier(tier):
             r, s, q = query.bind(positions).contacts_within(informed, uninformed, radius)
-        # Emission order is unspecified on every backend: canonicalize by
+        # Emission order is unspecified on every tier: canonicalize by
         # the unique (replica, source, query) key, like the protocols do.
         order = np.argsort((r * n + s) * n + q, kind="stable")
         return r[order].tobytes() + s[order].tobytes() + q[order].tobytes()
@@ -1113,14 +1106,12 @@ def run_benchmarks(
 
     if suite in ("core", "all"):
         kernels.extend(_bench_grid_index(repeats, smoke))
-        any_within_kernels, kernel_parity = _bench_batch_any_within(repeats, smoke)
-        kernels.extend(any_within_kernels)
+        kernels.extend(_bench_batch_any_within(repeats, smoke))
 
         end_to_end, speedups, e2e_parity = _bench_end_to_end(
             workload, repeats, include_scalar=True
         )
         parity = _parity_sweep(smoke)
-        parity["checks"]["kernel:batch_any_within"] = kernel_parity
         for name, ok in e2e_parity.items():
             parity["checks"][f"end_to_end:{name}"] = ok
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.zones import ZonePartition
-from repro.geometry.neighbors import make_engine
+from repro.geometry.neighbors import GridNeighborEngine
 from repro.mobility.base import MobilityModel
 from repro.network.contacts import MEETING_RADIUS_FACTOR
 
@@ -37,7 +37,6 @@ def first_meeting_times_from_zone(
     radius: float,
     targets: np.ndarray,
     window: int,
-    backend: str = "auto",
     dt: float = 1.0,
 ) -> np.ndarray:
     """First time each target agent meets an agent that started in the CZ.
@@ -68,7 +67,7 @@ def first_meeting_times_from_zone(
     emissaries = np.nonzero(zones.in_central_zone(positions))[0]
     # Targets that are themselves emissaries trivially meet at time 0;
     # exclude self-meetings by masking them out of the source set per query.
-    engine = make_engine(backend, model.side)
+    engine = GridNeighborEngine(model.side)
     meet_r = meeting_radius(radius)
 
     times = np.full(targets.size, np.inf)

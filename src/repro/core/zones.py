@@ -27,6 +27,8 @@ def density_threshold(n: int, factor: float = DEFAULT_THRESHOLD_FACTOR) -> float
     """Definition 4's cell-mass threshold ``factor * log n / n``."""
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+    if not factor > 0:
+        raise ValueError(f"threshold factor must be positive, got {factor}")
     return factor * math.log(n) / n
 
 

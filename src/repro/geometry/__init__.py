@@ -1,10 +1,10 @@
 """Geometric substrate: points, Manhattan paths, spatial indexes, samplers.
 
-Also the registry surface for backend selection: ``available_backends()``
-lists the neighbor engines (and, with ``kind="kernels"``, the kernel
-backends), and ``kernel_backend()`` / ``use_kernel_tier()`` /
-``kernel_tier_label()`` are re-exported from :mod:`repro.kernels` so
-callers can probe and scope the compiled tier from one import.
+Also the probe surface: ``available_backends()`` lists the spatial
+indexes the batch candidate search can use here, and ``kernel_backend()``
+/ ``use_kernel_tier()`` / ``kernel_tier_label()`` are re-exported from
+:mod:`repro.kernels` so callers can probe and scope the compiled tier from
+one import.
 """
 
 from repro.geometry.grid import GridIndex
@@ -13,10 +13,8 @@ from repro.geometry.neighbors import (
     BoundSnapshot,
     BruteForceNeighborEngine,
     GridNeighborEngine,
-    KDTreeNeighborEngine,
     NeighborEngine,
     available_backends,
-    make_engine,
 )
 from repro.geometry.paths import (
     HORIZONTAL_FIRST,
@@ -38,6 +36,8 @@ from repro.geometry.points import (
     manhattan_distance_to_box,
     pairwise_euclidean,
     pairwise_manhattan,
+    search_radius,
+    within_radius,
 )
 from repro.geometry.sampling import (
     sample_beta22,
@@ -57,10 +57,8 @@ __all__ = [
     "NeighborEngine",
     "BoundSnapshot",
     "GridNeighborEngine",
-    "KDTreeNeighborEngine",
     "BruteForceNeighborEngine",
     "BatchNeighborQuery",
-    "make_engine",
     "available_backends",
     "KERNEL_TIERS",
     "kernel_backend",
@@ -74,6 +72,8 @@ __all__ = [
     "leg_lengths",
     "position_along_path",
     "as_points",
+    "within_radius",
+    "search_radius",
     "euclidean_distance",
     "manhattan_distance",
     "chebyshev_distance",

@@ -2,22 +2,25 @@
 
 The flooding simulation needs, at every time step, the set of non-informed
 agents that have an informed agent within Euclidean distance ``R``.  This
-module implements a classic uniform grid over ``[0, side]^2`` with bucket
-side ``>= R``, so every radius-``R`` query only inspects the 3x3 block of
-buckets around the query point.
+module implements a classic uniform grid over ``[0, side]^2``; a query
+scans the block of buckets within reach of its radius (the 3x3 block when
+the bucket side is at least the search reach).
 
 The implementation is fully vectorized: points are bucketed with a counting
 sort (``argsort`` on flat bucket ids + ``searchsorted`` offsets) and queries
 expand candidate lists with ``repeat``/``arange`` tricks rather than Python
-loops.  A scipy cKDTree engine with the same interface lives in
-:mod:`repro.geometry.neighbors`; the two are cross-validated in the tests.
+loops.  The buckets only propose candidates; each is decided by the
+library's one distance predicate,
+:func:`~repro.geometry.points.within_radius`.  The grid backs the scalar
+neighbour engine and, when scipy is absent, the batch candidate search of
+:mod:`repro.geometry.neighbors`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.points import as_points
+from repro.geometry.points import as_points, search_radius, within_radius
 
 __all__ = ["GridIndex"]
 
@@ -27,9 +30,10 @@ class GridIndex:
 
     Args:
         side: side length of the square region.
-        cell_size: bucket side; queries with radius ``r <= cell_size`` are
-            answered exactly by scanning the 3x3 neighborhood.  Larger radii
-            scan a proportionally larger block and remain exact.
+        cell_size: bucket side; a query scans the 3x3 neighborhood when
+            :func:`~repro.geometry.points.search_radius` of its radius is
+            at most ``cell_size``, a proportionally larger block otherwise.
+            Every size gives the same, exact answers.
 
     Example:
         >>> import numpy as np
@@ -82,13 +86,14 @@ class GridIndex:
     def _candidate_arrays(self, queries: np.ndarray, radius: float) -> tuple:
         """Return ``(query_idx, point_idx)`` candidate pairs from nearby buckets.
 
-        Exact distance filtering is done by the callers; this only gathers
-        every indexed point in the block of buckets intersecting each query's
-        radius ball.
+        The exact test is done by the callers; this only gathers every
+        indexed point in the block of buckets that a ball of
+        :func:`~repro.geometry.points.search_radius` around each query can
+        touch, so no pair the test accepts is left out.
         """
         if self.size == 0 or queries.shape[0] == 0:
             return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-        reach = max(1, int(np.ceil(radius / self.cell_size)))
+        reach = max(1, int(np.ceil(search_radius(radius, self.side) / self.cell_size)))
         qij = np.floor(queries / self.cell_size).astype(np.intp)
         np.clip(qij, 0, self.n_cells - 1, out=qij)
 
@@ -138,8 +143,7 @@ class GridIndex:
         qidx, pidx = self._candidate_arrays(queries, radius)
         if qidx.size == 0:
             return result
-        diff = queries[qidx] - self._points[pidx]
-        hit = np.sum(diff * diff, axis=1) <= radius * radius
+        hit = within_radius(queries[qidx], self._points[pidx], radius)
         np.logical_or.at(result, qidx[hit], True)
         return result
 
@@ -150,36 +154,9 @@ class GridIndex:
         qidx, pidx = self._candidate_arrays(queries, radius)
         if qidx.size == 0:
             return counts
-        diff = queries[qidx] - self._points[pidx]
-        hit = np.sum(diff * diff, axis=1) <= radius * radius
+        hit = within_radius(queries[qidx], self._points[pidx], radius)
         np.add.at(counts, qidx[hit], 1)
         return counts
-
-    def query_radius(self, queries, radius: float) -> list:
-        """Indices of indexed points within ``radius`` of each query point.
-
-        Returns:
-            list of 1-D integer arrays, one per query point.  Use the bulk
-            methods (:meth:`any_within`, :meth:`count_within`,
-            :meth:`pairs_within`) in hot paths; this method exists for
-            inspection and testing.
-        """
-        queries = as_points(queries)
-        out = [np.empty(0, dtype=np.intp) for _ in range(queries.shape[0])]
-        qidx, pidx = self._candidate_arrays(queries, radius)
-        if qidx.size == 0:
-            return out
-        diff = queries[qidx] - self._points[pidx]
-        hit = np.sum(diff * diff, axis=1) <= radius * radius
-        qidx = qidx[hit]
-        pidx = pidx[hit]
-        order = np.argsort(qidx, kind="stable")
-        qidx = qidx[order]
-        pidx = pidx[order]
-        bounds = np.searchsorted(qidx, np.arange(queries.shape[0] + 1))
-        for i in range(queries.shape[0]):
-            out[i] = pidx[bounds[i]:bounds[i + 1]]
-        return out
 
     def pairs_within(self, radius: float) -> np.ndarray:
         """All unordered index pairs ``(i, j), i < j`` at distance ``<= radius``.
@@ -195,6 +172,5 @@ class GridIndex:
         keep = qidx < pidx
         qidx = qidx[keep]
         pidx = pidx[keep]
-        diff = self._points[qidx] - self._points[pidx]
-        hit = np.sum(diff * diff, axis=1) <= radius * radius
+        hit = within_radius(self._points[qidx], self._points[pidx], radius)
         return np.stack([qidx[hit], pidx[hit]], axis=1)

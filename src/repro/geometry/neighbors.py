@@ -1,4 +1,4 @@
-"""Neighbor engines: a uniform interface over spatial indexes.
+"""Neighbour queries: one exact radius predicate over spatial indexes.
 
 The simulation core only needs three primitives per snapshot:
 
@@ -7,35 +7,30 @@ The simulation core only needs three primitives per snapshot:
 * ``count_within(...)`` — occupancy counts (density condition, Lemma 7);
 * ``pairs_within(points, r)`` — all edges of the disk graph ``G_t``.
 
-Two interchangeable backends implement them:
+Every answer is decided by one inclusive predicate,
+:func:`~repro.geometry.points.within_radius` (``dx*dx + dy*dy <= r*r``),
+which the compiled kernels evaluate with the same operations.  Spatial
+indexes only propose candidates, searched a hair past the radius
+(:func:`~repro.geometry.points.search_radius`), and the predicate decides.
+So no result depends on which index ran, on the kernel tier, or on whether
+scipy is installed.
 
-* :class:`GridNeighborEngine` — the pure-numpy bucket grid of
-  :mod:`repro.geometry.grid` (no dependencies beyond numpy);
-* :class:`KDTreeNeighborEngine` — scipy's cKDTree, typically faster for
-  large ``n``.
+* :class:`GridNeighborEngine` — the scalar engine, over the pure-numpy
+  bucket grid of :mod:`repro.geometry.grid`;
+* :class:`BruteForceNeighborEngine` — the ``O(n m)`` reference the tests
+  compare against;
+* :class:`BatchNeighborQuery` — the per-replica queries of **B
+  independent trials in one call**, for the batch engine (DESIGN.md,
+  "Bound snapshots and the batched cell cover").  A run's compiled kernels
+  answer first when active; otherwise a cell cover resolves most infection
+  tests from per-replica occupancy grids, and the rest go to one candidate
+  search over all replicas, translated into disjoint tiles of a larger
+  virtual square (a KD-tree when scipy imports, a bucket grid otherwise).
 
-Use :func:`make_engine` to construct one by name; ``"auto"`` picks the
-KD-tree when scipy is importable and falls back to the grid otherwise.
-
-Two layers sit on top of the raw engines (DESIGN.md, "Bound snapshots and
-the batched cell cover"):
-
-* **Bound snapshots** — within one communication round the positions are
-  frozen, so :meth:`NeighborEngine.bind` freezes them into a
-  :class:`BoundSnapshot` whose spatial index is built once and shared by
-  every query on the snapshot (the multi-hop exchange loop, paired
-  ``any_within``/``count_within`` calls).  Every ``bind`` builds its
-  indexes afresh; nothing persists between rounds.
-
-* **Batched queries** — the batch simulation engine answers the
-  per-replica queries of **B independent trials with one engine call**
-  through :class:`BatchNeighborQuery`: each replica's points are
-  translated into a disjoint tile of a larger virtual square, tiles
-  separated by more than the query radius, so a single spatial index over
-  the union can never report a cross-replica hit.  Its cell-cover strategy
-  resolves most infection tests from per-replica occupancy grids and
-  sends only the thin uncertain shell to an exact tiled query (see
-  :meth:`BatchBoundQuery.any_within`).
+Within one communication round the positions are frozen, so ``bind``
+freezes them into a snapshot whose indexes are built once and shared by
+every query of the round (the multi-hop exchange loop, paired
+``any_within``/``count_within`` calls).  Nothing persists between rounds.
 """
 
 from __future__ import annotations
@@ -45,18 +40,16 @@ import math
 import numpy as np
 
 from repro.geometry.grid import GridIndex
-from repro.geometry.points import as_points
+from repro.geometry.points import as_points, search_radius, within_radius
 from repro.kernels import get_kernel
 
 __all__ = [
     "NeighborEngine",
     "BoundSnapshot",
     "GridNeighborEngine",
-    "KDTreeNeighborEngine",
     "BruteForceNeighborEngine",
     "BatchNeighborQuery",
     "BatchBoundQuery",
-    "make_engine",
     "available_backends",
 ]
 
@@ -71,8 +64,8 @@ class BoundSnapshot:
     paired ``any_within``/``count_within`` calls.
 
     This base implementation delegates to the engine's coordinate API per
-    call (correct for any engine, no sharing); the grid and KD-tree
-    engines override it with index-reusing variants.
+    call (correct for any engine, no sharing); the grid engine overrides
+    it with index-reusing variants.
     """
 
     def __init__(self, engine: "NeighborEngine", points: np.ndarray, radius: float):
@@ -101,8 +94,8 @@ class BoundSnapshot:
         protocols: gossip and push-pull only ever need the edges crossing
         the informed/uninformed cut, which is far smaller than the full
         disk graph at both ends of a run.  This base implementation is
-        O(S * Q) (fine for the brute engine); grid and KD-tree override it
-        with index-backed variants.
+        O(S * Q) (fine for the brute engine); the grid engine overrides it
+        with an index-backed variant.
 
         Returns:
             ``(sources, queries)`` agent-index arrays of equal length, in
@@ -112,9 +105,10 @@ class BoundSnapshot:
         query_idx = np.asarray(query_idx, dtype=np.intp)
         if source_idx.size == 0 or query_idx.size == 0:
             return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        diff = self.points[query_idx][:, None, :] - self.points[source_idx][None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        qpos, spos = np.nonzero(dist2 <= self.radius * self.radius)
+        hit = within_radius(
+            self.points[query_idx][:, None, :], self.points[source_idx][None, :, :], self.radius
+        )
+        qpos, spos = np.nonzero(hit)
         return source_idx[spos], query_idx[qpos]
 
     def pairs_within(self) -> np.ndarray:
@@ -122,13 +116,11 @@ class BoundSnapshot:
 
         The snapshot counterpart of :meth:`NeighborEngine.pairs_within`
         for per-step edge extraction over a recorded series (disk-graph
-        snapshots, contact traces).  This base implementation delegates to
-        the engine's coordinate API (one fresh grid index for the grid
-        engine); the KD-tree snapshot overrides it with a fast-build
-        throwaway tree.
+        snapshots, contact traces); delegates to the engine's coordinate
+        API.
 
         Returns:
-            ``(k, 2)`` intp pairs with ``i < j``, in backend order.
+            ``(k, 2)`` intp pairs with ``i < j``, in engine order.
         """
         return self.engine.pairs_within(self.points, self.radius)
 
@@ -167,8 +159,7 @@ class NeighborEngine:
 class _GridSnapshot(BoundSnapshot):
     """Grid-backed snapshot: one throwaway index over the sources, memoized
     on the index-array identity, so paired ``any_within`` /
-    ``count_within`` calls share it.  Every path runs the same inclusive
-    distance test as the engine's coordinate API.
+    ``count_within`` calls share it.
     """
 
     def __init__(self, engine, points, radius):
@@ -209,18 +200,17 @@ class _GridSnapshot(BoundSnapshot):
         if qidx.size == 0:
             return empty, empty
         sources = source_idx[pidx]
-        diff = queries[qidx] - self.points[sources]
-        hit = np.sum(diff * diff, axis=1) <= self.radius * self.radius
+        hit = within_radius(queries[qidx], self.points[sources], self.radius)
         return sources[hit], query_idx[qidx[hit]]
 
 
 class GridNeighborEngine(NeighborEngine):
-    """Bucket-grid backend (pure numpy).
+    """Bucket-grid engine (pure numpy): the scalar engine of every run.
 
     Args:
         side: side length of the square region.
-        cell_size: bucket side override (default ``max(radius, side/512)``
-            per query).
+        cell_size: bucket side override (default: the search reach of the
+            query radius, at least ``side/512``).  Has no effect on results.
     """
 
     name = "grid"
@@ -230,7 +220,9 @@ class GridNeighborEngine(NeighborEngine):
         self._cell_size = cell_size
 
     def _cell_for(self, radius: float) -> float:
-        return self._cell_size if self._cell_size is not None else max(radius, self.side / 512.0)
+        if self._cell_size is not None:
+            return self._cell_size
+        return max(search_radius(radius, self.side), self.side / 512.0)
 
     def _index(self, points, radius: float) -> GridIndex:
         """Fresh index over ``points`` for ``radius`` queries.
@@ -272,118 +264,6 @@ class GridNeighborEngine(NeighborEngine):
         return self._index(points, radius).pairs_within(radius)
 
 
-class _KDTreeSnapshot(BoundSnapshot):
-    """KD-tree snapshot: one tree per distinct source set, shared by calls.
-
-    Trees are memoized on the identity of the ``source_idx`` array, so the
-    ``any_within``/``count_within`` pair of a round builds one tree, and
-    the frontier hops of a multi-hop round each build one small tree over
-    the newly informed agents only.
-    """
-
-    def __init__(self, engine, points, radius):
-        super().__init__(engine, points, radius)
-        self._memo = None  # (source_idx, tree)
-
-    def _tree(self, source_idx):
-        memo = self._memo
-        if memo is not None and memo[0] is source_idx:
-            return memo[1]
-        # Snapshot trees live for one communication round: skip the
-        # balancing passes, which dominate construction at these sizes.
-        tree = self.engine._cKDTree(
-            self.points[source_idx], balanced_tree=False, compact_nodes=False
-        )
-        self._memo = (source_idx, tree)
-        return tree
-
-    def any_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=bool)
-        dist, _ = self._tree(source_idx).query(
-            self.points[query_idx], k=1, distance_upper_bound=self.radius * (1 + 1e-12)
-        )
-        return np.isfinite(dist)
-
-    def count_within(self, source_idx, query_idx) -> np.ndarray:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.zeros(query_idx.size, dtype=np.intp)
-        counts = self._tree(source_idx).query_ball_point(
-            self.points[query_idx], r=self.radius, return_length=True
-        )
-        return np.asarray(counts, dtype=np.intp)
-
-    def contacts_within(self, source_idx, query_idx) -> tuple:
-        source_idx = np.asarray(source_idx, dtype=np.intp)
-        query_idx = np.asarray(query_idx, dtype=np.intp)
-        if source_idx.size == 0 or query_idx.size == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        query_tree = self.engine._cKDTree(
-            self.points[query_idx], balanced_tree=False, compact_nodes=False
-        )
-        hits = self._tree(source_idx).sparse_distance_matrix(
-            query_tree, max_distance=self.radius, output_type="ndarray"
-        )
-        return source_idx[hits["i"]], query_idx[hits["j"]]
-
-    def pairs_within(self) -> np.ndarray:
-        # Throwaway per-frame tree: skip the balancing passes, which
-        # dominate construction at snapshot sizes.
-        tree = self.engine._cKDTree(self.points, balanced_tree=False, compact_nodes=False)
-        pairs = tree.query_pairs(r=self.radius, output_type="ndarray")
-        return pairs.astype(np.intp, copy=False)
-
-
-class KDTreeNeighborEngine(NeighborEngine):
-    """scipy cKDTree backend.
-
-    Raises:
-        ImportError: when scipy is not installed; use ``make_engine("auto")``
-            to fall back gracefully.
-    """
-
-    name = "kdtree"
-
-    def __init__(self, side: float):
-        super().__init__(side)
-        from scipy.spatial import cKDTree  # noqa: F401 - import check
-
-        self._cKDTree = cKDTree
-
-    def bind(self, points, radius: float) -> BoundSnapshot:
-        return _KDTreeSnapshot(self, as_points(points), radius)
-
-    def any_within(self, sources, queries, radius: float) -> np.ndarray:
-        sources = as_points(sources)
-        queries = as_points(queries)
-        if sources.shape[0] == 0 or queries.shape[0] == 0:
-            return np.zeros(queries.shape[0], dtype=bool)
-        tree = self._cKDTree(sources)
-        dist, _ = tree.query(queries, k=1, distance_upper_bound=radius * (1 + 1e-12))
-        return np.isfinite(dist)
-
-    def count_within(self, sources, queries, radius: float) -> np.ndarray:
-        sources = as_points(sources)
-        queries = as_points(queries)
-        if sources.shape[0] == 0 or queries.shape[0] == 0:
-            return np.zeros(queries.shape[0], dtype=np.intp)
-        tree = self._cKDTree(sources)
-        counts = tree.query_ball_point(queries, r=radius, return_length=True)
-        return np.asarray(counts, dtype=np.intp)
-
-    def pairs_within(self, points, radius: float) -> np.ndarray:
-        points = as_points(points)
-        if points.shape[0] == 0:
-            return np.empty((0, 2), dtype=np.intp)
-        tree = self._cKDTree(points)
-        pairs = tree.query_pairs(r=radius, output_type="ndarray")
-        return pairs.astype(np.intp, copy=False)
-
-
 class BruteForceNeighborEngine(NeighborEngine):
     """O(n*m) reference implementation used to validate the real engines."""
 
@@ -394,27 +274,23 @@ class BruteForceNeighborEngine(NeighborEngine):
         queries = as_points(queries)
         if sources.shape[0] == 0:
             return np.zeros(queries.shape[0], dtype=bool)
-        diff = queries[:, None, :] - sources[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        return np.any(dist2 <= radius * radius, axis=1)
+        return np.any(within_radius(queries[:, None, :], sources[None, :, :], radius), axis=1)
 
     def count_within(self, sources, queries, radius: float) -> np.ndarray:
         sources = as_points(sources)
         queries = as_points(queries)
         if sources.shape[0] == 0:
             return np.zeros(queries.shape[0], dtype=np.intp)
-        diff = queries[:, None, :] - sources[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        return np.sum(dist2 <= radius * radius, axis=1).astype(np.intp)
+        hit = within_radius(queries[:, None, :], sources[None, :, :], radius)
+        return np.sum(hit, axis=1).astype(np.intp)
 
     def pairs_within(self, points, radius: float) -> np.ndarray:
         points = as_points(points)
         n = points.shape[0]
         if n == 0:
             return np.empty((0, 2), dtype=np.intp)
-        diff = points[:, None, :] - points[None, :, :]
-        dist2 = np.sum(diff * diff, axis=-1)
-        i, j = np.nonzero(np.triu(dist2 <= radius * radius, k=1))
+        hit = within_radius(points[:, None, :], points[None, :, :], radius)
+        i, j = np.nonzero(np.triu(hit, k=1))
         return np.stack([i, j], axis=1).astype(np.intp)
 
 
@@ -447,10 +323,11 @@ def _dilate(occ: np.ndarray, reach: int) -> np.ndarray:
 class BatchBoundQuery:
     """Per-replica queries bound to one ``(B, n, 2)`` snapshot.
 
-    Obtained from :meth:`BatchNeighborQuery.bind`.  Within the snapshot's
-    lifetime (one communication round) the tiled coordinates are computed
-    at most once and shared by every hop and every
-    ``any_within``/``count_within`` call.
+    Obtained from :meth:`BatchNeighborQuery.bind`; valid for one
+    communication round.  Every answer is exact: the compiled kernels and
+    the cell cover's exact shell evaluate
+    :func:`~repro.geometry.points.within_radius`, and the cover's
+    occupancy shortcuts keep a margin far wider than its rounding.
     """
 
     def __init__(self, query: "BatchNeighborQuery", positions: np.ndarray):
@@ -463,7 +340,6 @@ class BatchBoundQuery:
             )
         self.query = query
         self.positions = positions
-        self._shifted = {}  # radius -> (flat shifted coords, big_side)
 
     # ------------------------------------------------------------------
     # Derived state
@@ -488,13 +364,88 @@ class BatchBoundQuery:
         gid[rows] = cells
         return gid, m
 
-    def _shifted_for(self, radius: float):
-        """Tile-shifted flat coordinates (cached per radius)."""
-        cached = self._shifted.get(radius)
-        if cached is None:
-            cached = self.query._shift(self.positions, radius)
-            self._shifted[radius] = cached
-        return cached
+    # ------------------------------------------------------------------
+    # Candidate search (numpy tier)
+    # ------------------------------------------------------------------
+    def _candidates(self, source_flat, query_flat, radius, nearest=False) -> tuple:
+        """``(source, query)`` flat ``B*n`` ids of pairs that may lie within ``radius``.
+
+        The one spatial search of the numpy tier.  Each replica's points
+        are shifted into its own tile of a virtual square
+        (:meth:`BatchNeighborQuery._tile_shift`), so one index over the
+        union serves every replica: a KD-tree when scipy imports, a bucket
+        grid otherwise.  The search reaches
+        :func:`~repro.geometry.points.search_radius`, so the result holds
+        every pair that :func:`~repro.geometry.points.within_radius`
+        accepts on the unshifted positions; callers apply that test.
+        Tiles lie ``side + 2 * radius`` apart, so that test also rejects
+        every pair of points from two different replicas.
+
+        ``query_flat=None`` asks for the unordered pairs within
+        ``source_flat`` (``source < query``).  ``nearest=True`` lets the
+        KD-tree return each query's nearest source only.
+        """
+        n = self.positions.shape[1]
+        pts = self.positions.reshape(-1, 2)
+        _stride, big_side = self.query._tile_geometry(radius)
+        reach = search_radius(radius, big_side)
+        # np.take: a row gather several times faster than fancy indexing.
+        sources = self.query._tile_shift(source_flat // n, np.take(pts, source_flat, axis=0), radius)
+        if query_flat is None:
+            queries = sources
+        else:
+            queries = self.query._tile_shift(query_flat // n, np.take(pts, query_flat, axis=0), radius)
+        tree_class = _kdtree()
+        if tree_class is None:
+            index = GridIndex(big_side, max(reach, big_side / 512.0))
+            index.build(sources)
+            qpos, spos = index._candidate_arrays(queries, radius)
+            if query_flat is None:
+                keep = spos < qpos
+                qpos, spos = qpos[keep], spos[keep]
+        else:
+            # Throwaway trees: skip the balancing passes, which dominate
+            # construction at these sizes.
+            tree = tree_class(sources, balanced_tree=False, compact_nodes=False)
+            if query_flat is None:
+                pairs = tree.query_pairs(r=reach, output_type="ndarray")
+                spos, qpos = pairs[:, 0], pairs[:, 1]
+            elif nearest:
+                dist, nearest_pos = tree.query(queries, k=1, distance_upper_bound=reach)
+                qpos = np.nonzero(np.isfinite(dist))[0]
+                spos = nearest_pos[qpos]
+            else:
+                other = tree_class(queries, balanced_tree=False, compact_nodes=False)
+                hits = tree.sparse_distance_matrix(
+                    other, max_distance=reach, output_type="ndarray"
+                )
+                spos, qpos = hits["i"], hits["j"]
+        return source_flat[spos], (source_flat if query_flat is None else query_flat)[qpos]
+
+    def _exact(self, s, q, radius) -> np.ndarray:
+        """:func:`~repro.geometry.points.within_radius` on flat id pairs."""
+        pts = self.positions.reshape(-1, 2)
+        return within_radius(np.take(pts, s, axis=0), np.take(pts, q, axis=0), radius)
+
+    def _contacts(self, source_flat, query_flat, radius) -> tuple:
+        """The candidates of :meth:`_candidates` that pass the exact test."""
+        s, q = self._candidates(source_flat, query_flat, radius)
+        hit = self._exact(s, q, radius)
+        return s[hit], q[hit]
+
+    def _tiled_any_within(self, source_flat, query_flat, radius) -> np.ndarray:
+        """Flat ids of ``query_flat`` with a ``source_flat`` point within ``radius``."""
+        s, q = self._candidates(source_flat, query_flat, radius, nearest=True)
+        hit = self._exact(s, q, radius)
+        found = q[hit]
+        if _kdtree() is not None:
+            # A nearest source can fail the exact test (an ulp past radius,
+            # or in another replica's tile) while a farther one passes:
+            # search those queries in full.
+            retry = q[~hit]
+            if retry.size:
+                found = np.concatenate([found, self._contacts(source_flat, retry, radius)[1]])
+        return found
 
     # ------------------------------------------------------------------
     # Queries
@@ -507,39 +458,8 @@ class BatchBoundQuery:
             raise ValueError("masks must have shape (B, n) matching the positions")
         return source_mask, query_mask
 
-    def _tiled(self, method, source_mask, query_mask, radius):
-        flat, big_side = self._shifted_for(radius)
-        source_mask = source_mask.reshape(-1)
-        query_mask = query_mask.reshape(-1)
-        engine = _BACKENDS[self.query._tiled_backend](big_side)
-        out = getattr(engine, method)(flat[source_mask], flat[query_mask], radius)
-        result_dtype = bool if method == "any_within" else np.intp
-        full = np.zeros(flat.shape[0], dtype=result_dtype)
-        full[query_mask] = out
-        return full.reshape(self.positions.shape[0], -1)
-
-    def _flat_tiled_any_within(self, source_flat, query_flat, radius):
-        """Exact tiled ``any_within`` over flat ``(B*n)`` index subsets."""
-        n = self.positions.shape[1]
-        pts = self.positions.reshape(-1, 2)
-        _stride, big_side = self.query._tile_geometry(radius)
-
-        def shifted(flat_idx):
-            return self.query._tile_shift(flat_idx // n, pts[flat_idx], radius)
-
-        if self.query._tiled_backend == "kdtree":
-            # Same exact query as KDTreeNeighborEngine.any_within, but the
-            # tree is throwaway (one shell per round) — skip the balancing
-            # passes, which dominate construction for these sizes.
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(shifted(source_flat), balanced_tree=False, compact_nodes=False)
-            dist, _ = tree.query(
-                shifted(query_flat), k=1, distance_upper_bound=radius * (1 + 1e-12)
-            )
-            return np.isfinite(dist)
-        engine = _BACKENDS[self.query._tiled_backend](big_side)
-        return engine.any_within(shifted(source_flat), shifted(query_flat), radius)
+    def _flat(self, source_mask, query_mask) -> tuple:
+        return np.nonzero(source_mask.reshape(-1))[0], np.nonzero(query_mask.reshape(-1))[0]
 
     def _cells_any_within(self, source_mask, query_mask, radius):
         """Cell-cover ``any_within`` (see :class:`BatchNeighborQuery`);
@@ -566,11 +486,8 @@ class BatchBoundQuery:
 
         gid_flat = gid.reshape(-1)
         hits = np.zeros(batch * n, dtype=bool)
-        query_flat = np.nonzero(query_mask.reshape(-1))[0]
-        if query_flat.size == 0:
-            return hits.reshape(batch, n)
-        source_flat = np.nonzero(source_mask.reshape(-1))[0]
-        if source_flat.size == 0:
+        source_flat, query_flat = self._flat(source_mask, query_mask)
+        if query_flat.size == 0 or source_flat.size == 0:
             return hits.reshape(batch, n)
         q_gid = gid_flat[query_flat]
         s_gid = gid_flat[source_flat]
@@ -578,18 +495,7 @@ class BatchBoundQuery:
         src_occ = np.zeros(cells, dtype=bool)
         src_occ[s_gid] = True
         occ = src_occ.reshape(batch, m, m)
-        if reach_sure >= 1:
-            sure = _dilate(occ, reach_sure)
-        else:
-            # Coarse grids (divisor in [sqrt(5), 2*sqrt(2))): the cross
-            # neighborhood (own + edge-adjacent cells, diameter
-            # sqrt(5) buckets <= radius) beats the bare own-cell box.
-            sure = occ.copy()
-            sure[:, 1:, :] |= occ[:, :-1, :]
-            sure[:, :-1, :] |= occ[:, 1:, :]
-            sure[:, :, 1:] |= occ[:, :, :-1]
-            sure[:, :, :-1] |= occ[:, :, 1:]
-        sure_q = sure.reshape(-1)[q_gid]
+        sure_q = _dilate(occ, reach_sure).reshape(-1)[q_gid]
         hits[query_flat[sure_q]] = True
         possible = _dilate(occ, reach_possible).reshape(-1)
         ambiguous = ~sure_q & possible[q_gid]
@@ -602,8 +508,7 @@ class BatchBoundQuery:
             near = _dilate(u_occ.reshape(batch, m, m), reach_possible).reshape(-1)
             near_source_flat = source_flat[near[s_gid]]
             if near_source_flat.size:
-                hit = self._flat_tiled_any_within(near_source_flat, unresolved_flat, radius)
-                hits[unresolved_flat[hit]] = True
+                hits[self._tiled_any_within(near_source_flat, unresolved_flat, radius)] = True
         return hits.reshape(batch, n)
 
     def any_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
@@ -611,56 +516,39 @@ class BatchBoundQuery:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        if self.query.backend == "auto":
-            # Compiled tier (when a run activated it): one fused
-            # grid-build + 3x3-scan pass over the exact predicate —
-            # bit-identical to the strategies below for any scan order.
-            kernel = get_kernel("batch_any_within")
-            if kernel is not None:
-                result = kernel(
-                    self.positions, source_mask, query_mask, radius, self.query.side
-                )
-                if result is not None:
-                    return result
-        if self.query.backend in ("auto", "cells"):
-            result = self._cells_any_within(source_mask, query_mask, radius)
+        # Compiled tier (when a run activated it): one fused grid-build +
+        # 3x3-scan pass over the exact predicate.
+        kernel = get_kernel("batch_any_within")
+        if kernel is not None:
+            result = kernel(self.positions, source_mask, query_mask, radius, self.query.side)
             if result is not None:
                 return result
-        return self._tiled("any_within", source_mask, query_mask, radius)
+        result = self._cells_any_within(source_mask, query_mask, radius)
+        if result is not None:
+            return result
+        batch, n = source_mask.shape
+        hits = np.zeros(batch * n, dtype=bool)
+        source_flat, query_flat = self._flat(source_mask, query_mask)
+        if source_flat.size and query_flat.size:
+            hits[self._tiled_any_within(source_flat, query_flat, radius)] = True
+        return hits.reshape(batch, n)
 
     def count_within(self, source_mask, query_mask, radius: float) -> np.ndarray:
         """Per-replica occupancy counts; see :meth:`BatchNeighborQuery.count_within`."""
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        if self.query._tiled_backend == "kdtree":
-            # Throwaway per-round tree: the fast-build flags beat the
-            # balanced build the generic tiled path would pay (the tree
-            # serves exactly one counting pass).
-            batch, n = source_mask.shape
-            source_flat = np.nonzero(source_mask.reshape(-1))[0]
-            query_flat = np.nonzero(query_mask.reshape(-1))[0]
-            counts = np.zeros(batch * n, dtype=np.intp)
-            if source_flat.size and query_flat.size:
-                from scipy.spatial import cKDTree
-
-                shifted, _big_side = self._shifted_for(radius)
-                tree = cKDTree(
-                    shifted[source_flat], balanced_tree=False, compact_nodes=False
-                )
-                counts[query_flat] = tree.query_ball_point(
-                    shifted[query_flat], r=radius, return_length=True
-                )
-            return counts.reshape(batch, n)
-        return self._tiled("count_within", source_mask, query_mask, radius)
+        batch, n = source_mask.shape
+        contacts = self.contacts_within(source_mask, query_mask, radius)
+        counts = np.bincount(contacts[0] * n + contacts[2], minlength=batch * n)
+        return counts.astype(np.intp, copy=False).reshape(batch, n)
 
     def contacts_within(self, source_mask, query_mask, radius: float) -> tuple:
         """Per-replica bipartite (source, query) contacts within ``radius``.
 
         The batched counterpart of
-        :meth:`BoundSnapshot.contacts_within` — one tiled dual-tree (or
-        grid-candidate) pass materializes every replica's cross contacts
-        at once; cross-replica contacts are geometrically impossible.
+        :meth:`BoundSnapshot.contacts_within` — one pass over all
+        replicas materializes every replica's cross contacts at once.
         The neighbor-sampling protocols call it with the informed mask on
         one side and the uninformed mask on the other, so the result is
         the informed/uninformed **cut** — far smaller than the full
@@ -673,51 +561,20 @@ class BatchBoundQuery:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         source_mask, query_mask = self._check_masks(source_mask, query_mask)
-        if self.query.backend == "auto":
-            # Compiled tier: enumerate the exact cut contacts directly
-            # (order unspecified, like every backend below — the sampling
-            # protocols canonicalize by sorting on unique keys).
-            kernel = get_kernel("batch_contacts")
-            if kernel is not None:
-                result = kernel(
-                    self.positions, source_mask, query_mask, radius, self.query.side
-                )
-                if result is not None:
-                    return result
+        # Compiled tier: enumerate the exact contacts directly (order
+        # unspecified — the sampling protocols canonicalize by sorting on
+        # unique keys).
+        kernel = get_kernel("batch_contacts")
+        if kernel is not None:
+            result = kernel(self.positions, source_mask, query_mask, radius, self.query.side)
+            if result is not None:
+                return result
         n = self.positions.shape[1]
-        empty = (np.empty(0, dtype=np.intp),) * 3
-        source_flat = np.nonzero(source_mask.reshape(-1))[0]
-        query_flat = np.nonzero(query_mask.reshape(-1))[0]
+        source_flat, query_flat = self._flat(source_mask, query_mask)
         if source_flat.size == 0 or query_flat.size == 0:
-            return empty
-        shifted, _big_side = self._shifted_for(radius)
-        shifted_s = shifted[source_flat]
-        shifted_q = shifted[query_flat]
-        if self.query._tiled_backend == "kdtree":
-            from scipy.spatial import cKDTree
-
-            source_tree = cKDTree(shifted_s, balanced_tree=False, compact_nodes=False)
-            query_tree = cKDTree(shifted_q, balanced_tree=False, compact_nodes=False)
-            hits = source_tree.sparse_distance_matrix(
-                query_tree, max_distance=radius, output_type="ndarray"
-            )
-            s_sel = source_flat[hits["i"]]
-            q_sel = query_flat[hits["j"]]
-        else:
-            _stride, big_side = self.query._tile_geometry(radius)
-            cell = max(radius, big_side / 512.0)
-            index = GridIndex(big_side, cell)
-            index.build(shifted_s)
-            qidx, pidx = index._candidate_arrays(shifted_q, radius)
-            if qidx.size == 0:
-                return empty
-            diff = shifted_q[qidx] - shifted_s[pidx]
-            hit = np.sum(diff * diff, axis=1) <= radius * radius
-            s_sel = source_flat[pidx[hit]]
-            q_sel = query_flat[qidx[hit]]
-        if s_sel.size == 0:
-            return empty
-        return s_sel // n, s_sel % n, q_sel % n
+            return (np.empty(0, dtype=np.intp),) * 3
+        s, q = self._contacts(source_flat, query_flat, radius)
+        return s // n, s % n, q % n
 
     def pairs_within(self, radius: float, rows=None) -> tuple:
         """Per-replica disk-graph edges of the snapshot.
@@ -725,12 +582,11 @@ class BatchBoundQuery:
         The batched counterpart of
         :meth:`NeighborEngine.pairs_within`, for callers that need every
         replica's full edge list (disk-graph statistics, contact traces)
-        in one tiled engine call — tiles are separated by ``2 * radius``,
-        so cross-replica pairs are geometrically impossible.  The
-        neighbor-sampling protocols do **not** use it (they materialize
-        only the informed/uninformed cut via :meth:`contacts_within`).
-        The edge *order* is the backend's traversal order; callers that
-        consume randomness positionally must canonicalize it themselves.
+        in one pass.  The neighbor-sampling protocols do **not** use it
+        (they materialize only the informed/uninformed cut via
+        :meth:`contacts_within`).  The edge *order* is the index's
+        traversal order; callers that consume randomness positionally
+        must canonicalize it themselves.
 
         Args:
             radius: query radius.
@@ -744,115 +600,76 @@ class BatchBoundQuery:
         if radius <= 0:
             raise ValueError(f"radius must be positive, got {radius}")
         batch, n, _ = self.positions.shape
-        if rows is None:
-            subset = self.positions
-            row_ids = np.arange(batch, dtype=np.intp)
-        else:
-            row_ids = np.asarray(rows, dtype=np.intp)
-            subset = self.positions[row_ids]
-        empty = (np.empty(0, dtype=np.intp),) * 3
+        row_ids = np.arange(batch, dtype=np.intp) if rows is None else np.asarray(rows, dtype=np.intp)
         if row_ids.size == 0:
-            return empty
-        flat = subset.reshape(-1, 2)
-        shifted = self.query._tile_shift(np.repeat(row_ids, n), flat, radius)
-        if self.query._tiled_backend == "kdtree":
-            # Throwaway tree, one per round: skip the balancing passes
-            # (same trick as the exact-shell fall-through above).
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(shifted, balanced_tree=False, compact_nodes=False)
-            pairs = tree.query_pairs(r=radius, output_type="ndarray")
-            pairs = pairs.astype(np.intp, copy=False)
-        else:
-            _stride, big_side = self.query._tile_geometry(radius)
-            pairs = _BACKENDS[self.query._tiled_backend](big_side).pairs_within(
-                shifted, radius
-            )
-        if pairs.shape[0] == 0:
-            return empty
-        # Every backend returns i < j in the flat index space; endpoints
-        # share a replica (tile separation > radius), so local i < j too.
-        position = pairs[:, 0] // n
-        return row_ids[position], pairs[:, 0] % n, pairs[:, 1] % n
+            return (np.empty(0, dtype=np.intp),) * 3
+        flat = (row_ids[:, None] * n + np.arange(n, dtype=np.intp)).reshape(-1)
+        i, j = self._contacts(flat, None, radius)
+        # Endpoints share a replica, so flat i < j means local i < j too.
+        return i // n, i % n, j % n
 
 
 class BatchNeighborQuery:
     """Per-replica radius queries over a ``(B, n, 2)`` position tensor.
 
-    Two strategies, both exact:
+    Up to three stages answer a query, each exact; which one runs never
+    changes a result:
 
-    * **tiling** (explicit ``grid``/``kdtree``/``brute`` backends): replica
-      ``b``'s points are shifted into tile ``b`` of a virtual
-      ``rows x cols`` tile sheet (``cols = ceil(sqrt(B))``, keeping the grid
-      backend's cell count ``O(B)``).  Adjacent tiles are separated by
-      ``2 * radius``, strictly more than the query radius, hence one engine
-      call over the shifted union answers all replicas at once and
-      cross-replica pairs can never be within range.
+    * **compiled kernels** (when a run activated the compiled tier): one
+      fused grid-build + scan pass per call.
 
-    * **cell cover** (``"cells"``, the ``"auto"`` default for
-      :meth:`any_within`): per-replica occupancy grids with bucket side
-      ``radius / (2 sqrt2)``, derived from the positions on every call
-      for the replicas still running, resolve most queries by occupancy logic alone — a
-      source anywhere in the query's 3x3 cell box is *certainly* within
-      ``radius`` (the farthest pair of points in that box is exactly
-      ``2 sqrt2`` buckets apart), while no source within Chebyshev
+    * **cell cover** (:meth:`any_within` on the numpy tier): per-replica
+      occupancy grids with bucket side a hair under
+      ``radius / (2 sqrt2)``, derived from the positions on every call for
+      the replicas still running, resolve most queries by occupancy logic
+      alone — a source anywhere in the query's 3x3 cell box is *certainly*
+      within ``radius`` (the farthest pair of points in that box is just
+      under ``2 sqrt2`` buckets apart), while no source within Chebyshev
       distance 3 *certainly* means no hit (the gap is at least 3 buckets
       ``> radius``).  Only queries in the thin shell between the two
-      certainties fall through to an exact tiled query against the
-      sources near the shell.
+      certainties fall through to the exact candidate search.
 
-    Strategies agree except possibly at distances within floating-point
-    rounding of ``radius`` itself — the same ulp-level boundary slack the
-    scalar backends already have among themselves (the KD-tree engine
-    applies a ``1e-12`` relative tolerance where grid and brute use exact
-    ``<=``), and a measure-zero event for simulation-driven positions.
+    * **tiled candidate search**: replica ``b``'s points are shifted into
+      tile ``b`` of a virtual ``rows x cols`` tile sheet
+      (``cols = ceil(sqrt(B))``).  Adjacent tiles are separated by
+      ``2 * radius``, so one spatial index over the shifted union serves
+      all replicas, and every candidate it proposes is decided by
+      :func:`~repro.geometry.points.within_radius` on the unshifted
+      positions.
 
     Args:
         side: side length of each replica's square region.
         batch_size: number of replicas ``B``.
-        backend: ``"grid"``, ``"kdtree"``, ``"brute"``, ``"cells"``, or
-            ``"auto"`` (cell cover for ``any_within``, best tiled engine
-            otherwise).
     """
 
-    def __init__(self, side: float, batch_size: int, backend: str = "auto"):
+    def __init__(self, side: float, batch_size: int):
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         self.side = float(side)
         self.batch_size = int(batch_size)
-        if backend not in ("auto", "cells") and backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown neighbor backend {backend!r}; expected one of "
-                f"{sorted(_BACKENDS) + ['cells']} or 'auto'"
-            )
-        self.backend = backend
-        self._tiled_backend = backend
-        if backend in ("auto", "cells"):
-            self._tiled_backend = "kdtree" if "kdtree" in available_backends() else "grid"
         self._cols = int(math.ceil(math.sqrt(self.batch_size)))
         self._rows = int(math.ceil(self.batch_size / self._cols))
 
     #: Above this many occupancy-grid cells the cell cover falls back to
-    #: tiling (tiny radii would make the per-replica grids enormous).
+    #: the candidate search (tiny radii would make the per-replica grids
+    #: enormous).
     _MAX_COVER_CELLS = 4_000_000
 
     #: Occupancy-grid resolution: bucket side = radius / _COVER_DIVISOR.
     #: Finer grids narrow the indeterminate shell (width ``O(bucket)``)
     #: that needs exact distance checks, at ``O(B * m^2)`` occupancy cost.
-    #: 2*sqrt(2) makes the full 3x3 box a *certain* hit (farthest pair
-    #: exactly ``2 sqrt2`` buckets == radius) — measurably better than the
-    #: seed's sqrt(5) cross neighborhood now that the grid passes run as
-    #: cheap boolean dilations (see ``repro bench``).
-    _COVER_DIVISOR = 2.0 * math.sqrt(2.0)
+    #: 2*sqrt(2) makes the full 3x3 box a certain hit; the 1e-9 margin
+    #: keeps that certainty when rounding puts a point in the wrong bucket
+    #: (an error below 1e-12 buckets).
+    _COVER_DIVISOR = 2.0 * math.sqrt(2.0) * (1.0 + 1e-9)
 
     def _tile_geometry(self, radius: float) -> tuple:
         """``(stride, big_side)`` of the virtual tile sheet for ``radius``.
 
         The single definition of the tiling layout — every path that
-        shifts points into tiles (full snapshots, flat index subsets)
-        must derive its geometry from here.
+        shifts points into tiles must derive its geometry from here.
         """
         stride = self.side + 2.0 * radius
         return stride, max(self._cols, self._rows) * stride
@@ -864,22 +681,6 @@ class BatchNeighborQuery:
         out[:, 0] += (replica % self._cols) * stride
         out[:, 1] += (replica // self._cols) * stride
         return out
-
-    def _shift(self, positions: np.ndarray, radius: float) -> tuple:
-        """Translate each replica into its tile; returns ``(flat, big_side)``."""
-        positions = np.asarray(positions, dtype=np.float64)
-        if positions.ndim != 3 or positions.shape[2] != 2:
-            raise ValueError(f"positions must have shape (B, n, 2), got {positions.shape}")
-        batch = positions.shape[0]
-        if batch != self.batch_size:
-            raise ValueError(f"expected {self.batch_size} replicas, got {batch}")
-        stride, big_side = self._tile_geometry(radius)
-        replica = np.arange(batch)
-        offsets = np.stack(
-            [(replica % self._cols) * stride, (replica // self._cols) * stride], axis=1
-        )
-        shifted = positions + offsets[:, None, :]
-        return shifted.reshape(-1, 2), big_side
 
     def bind(self, positions) -> BatchBoundQuery:
         """Freeze one ``(B, n, 2)`` snapshot for repeated queries."""
@@ -907,59 +708,27 @@ class BatchNeighborQuery:
         return self.bind(positions).count_within(source_mask, query_mask, radius)
 
 
-_BACKENDS = {
-    "grid": GridNeighborEngine,
-    "kdtree": KDTreeNeighborEngine,
-    "brute": BruteForceNeighborEngine,
-}
-
-_AVAILABLE_BACKENDS = None
+_KDTREE_PROBE = None  # None: not probed yet; False: scipy absent
 
 
-def available_backends(kind: str = "neighbors") -> list:
-    """Names of backends importable in this environment.
-
-    Args:
-        kind: ``"neighbors"`` (default) lists the neighbor-engine
-            backends; ``"kernels"`` lists the kernel tiers backing the
-            ``kernels`` config knob — the compiled ``cext`` provider first
-            when it builds (probed once per process, with the
-            ``REPRO_NO_CEXT=1`` escape hatch), then the always-available
-            ``numpy``.
-
-    Every probe runs once per process and is cached — constructing
-    engines and batch queries in a hot loop must not re-attempt imports
-    (or compiler invocations) every time.
-    """
-    if kind == "kernels":
-        from repro.kernels import available_kernel_backends
-
-        return available_kernel_backends()
-    if kind != "neighbors":
-        raise ValueError(f"unknown backend kind {kind!r}; expected 'neighbors' or 'kernels'")
-    global _AVAILABLE_BACKENDS
-    if _AVAILABLE_BACKENDS is None:
-        names = ["grid", "brute"]
+def _kdtree():
+    """scipy's ``cKDTree`` class, or None without scipy (probed once)."""
+    global _KDTREE_PROBE
+    if _KDTREE_PROBE is None:
         try:
-            import scipy.spatial  # noqa: F401
-
-            names.insert(0, "kdtree")
+            from scipy.spatial import cKDTree
         except ImportError:  # pragma: no cover - depends on environment
-            pass
-        _AVAILABLE_BACKENDS = names
-    return list(_AVAILABLE_BACKENDS)
+            cKDTree = False
+        _KDTREE_PROBE = cKDTree
+    return _KDTREE_PROBE or None
 
 
-def make_engine(backend: str, side: float) -> NeighborEngine:
-    """Construct a neighbor engine by name.
+def available_backends() -> list:
+    """The spatial indexes the batch candidate search can use here, the
+    one it uses first: ``["kdtree", "grid"]`` when scipy imports, else
+    ``["grid"]``.
 
-    Args:
-        backend: ``"grid"``, ``"kdtree"``, ``"brute"``, or ``"auto"``
-            (kdtree if scipy is available, else grid).
-        side: side length of the square region.
+    Informational (run provenance); no caller chooses between them.  The
+    scipy probe runs once per process.
     """
-    if backend == "auto":
-        backend = "kdtree" if "kdtree" in available_backends() else "grid"
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown neighbor backend {backend!r}; expected one of {sorted(_BACKENDS)} or 'auto'")
-    return _BACKENDS[backend](side)
+    return ["kdtree", "grid"] if _kdtree() is not None else ["grid"]

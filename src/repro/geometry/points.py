@@ -11,6 +11,8 @@ import numpy as np
 
 __all__ = [
     "as_points",
+    "within_radius",
+    "search_radius",
     "euclidean_distance",
     "manhattan_distance",
     "chebyshev_distance",
@@ -39,6 +41,32 @@ def as_points(data) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError(f"expected points of shape (n, 2), got {points.shape}")
     return points
+
+
+def within_radius(a, b, radius: float) -> np.ndarray:
+    """The contact rule: are ``a`` and ``b`` at distance at most ``radius``?
+
+    Evaluated as ``dx*dx + dy*dy <= radius*radius``, inclusive, over the
+    last axis of ``(..., 2)`` point arrays (broadcasting).  Every neighbour
+    answer of the library is decided by this expression: the numpy paths
+    call it, and the compiled kernels evaluate the same IEEE operations.
+    Spatial indexes only propose candidates for it.
+    """
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    return dx * dx + dy * dy <= radius * radius
+
+
+def search_radius(radius: float, extent: float) -> float:
+    """How far a candidate search must reach for :func:`within_radius`.
+
+    A pair the predicate accepts can lie a few ulps beyond ``radius``, and
+    an index may see coordinates rounded at the scale of ``extent`` (the
+    largest coordinate it holds, e.g. replicas shifted into tiles).  Both
+    errors are below 1e-15 relative; this bound over-reaches them by six
+    orders of magnitude, so no accepted pair is ever missed.
+    """
+    return radius * (1.0 + 1e-9) + extent * 1e-12
 
 
 def euclidean_distance(a, b) -> np.ndarray:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.points import within_radius
 from repro.mobility.base import BatchMobilityModel, MobilityModel
 from repro.mobility.kinematics import (
     DenseLegScratch,
@@ -541,7 +542,6 @@ class _TimetableEngine:
         walking[alighted] = False  # no instant re-board on the alight step
         if not np.any(walking):
             return
-        r2 = self.board_radius * self.board_radius
         boarded, boarded_veh = [], []
         for b, lo, hi in replica_slices(dw_all, V, B):
             dw = dw_all[lo:hi]
@@ -556,8 +556,7 @@ class _TimetableEngine:
             if w.size == 0:
                 continue
             pts = self._stops_pad[self.veh_route[dw], self.veh_at_stop[dw]]
-            diff = self.r_pos[w][:, None, :] - pts[None, :, :]
-            eligible = (diff * diff).sum(axis=2) <= r2
+            eligible = within_radius(self.r_pos[w][:, None, :], pts[None, :, :], self.board_radius)
             for i in np.nonzero(eligible.any(axis=1))[0]:
                 cols = np.nonzero(eligible[i] & (spare > 0))[0]
                 if cols.size:

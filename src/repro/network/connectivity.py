@@ -185,7 +185,7 @@ def connectivity_profile(positions: np.ndarray, side: float, radii) -> dict:
 
 
 def batch_connectivity_profile(
-    positions: np.ndarray, side: float, radii, backend: str = "auto"
+    positions: np.ndarray, side: float, radii
 ) -> dict:
     """Connectivity profiles of a ``(B, n, 2)`` snapshot stack at once.
 
@@ -207,7 +207,7 @@ def batch_connectivity_profile(
         empty = np.empty(0, dtype=np.intp)
         profile = _incremental_profile(batch_size, n, empty, empty, empty, np.empty(0), radii)
     else:
-        query = BatchNeighborQuery(side, batch_size, backend=backend)
+        query = BatchNeighborQuery(side, batch_size)
         rep, i, j = query.bind(positions).pairs_within(rmax)
         d2 = _batch_edge_lengths_sq(positions, rep, i, j)
         profile = _incremental_profile(batch_size, n, rep, i, j, d2, radii)
@@ -321,7 +321,6 @@ def batch_connectivity_threshold(
     positions: np.ndarray,
     side: float,
     tol: Optional[float] = None,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Exact connectivity thresholds of a ``(B, n, 2)`` snapshot stack.
 
@@ -353,7 +352,7 @@ def batch_connectivity_threshold(
     hi = min(_bracket_radius(n, side, tol), cap)
     while pending.size:
         sub = np.ascontiguousarray(positions[pending])
-        query = BatchNeighborQuery(side, pending.size, backend=backend)
+        query = BatchNeighborQuery(side, pending.size)
         rep, i, j = query.bind(sub).pairs_within(hi)
         uf = BatchUnionFind(pending.size, n)
         uf.add_edges(i, j, replica=rep)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.geometry.neighbors import BatchNeighborQuery, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery, GridNeighborEngine
 from repro.network.snapshots import SnapshotSeries
 
 __all__ = ["ContactTrace", "record_contacts", "batch_record_contacts"]
@@ -106,9 +106,9 @@ class ContactTrace:
 def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
     """Sort a ``(k, 2)`` pair array lexicographically by ``(i, j)``.
 
-    Backends emit pairs in traversal order; the canonical order makes
-    scalar and batched recordings byte-identical and the raw
-    ``contacts_at`` arrays stable across backends.
+    Spatial indexes emit pairs in traversal order; the canonical order
+    makes scalar and batched recordings byte-identical and the raw
+    ``contacts_at`` arrays independent of the index.
     """
     if pairs.shape[0] <= 1:
         return pairs
@@ -119,7 +119,6 @@ def _canonical_pairs(pairs: np.ndarray) -> np.ndarray:
 def record_contacts(
     series: SnapshotSeries,
     radius: Optional[float] = None,
-    backend: str = "auto",
 ) -> ContactTrace:
     """Extract the contact trace of a snapshot series.
 
@@ -130,11 +129,10 @@ def record_contacts(
         series: recorded mobility snapshots.
         radius: contact radius; defaults to the paper's meeting radius
             ``(3/4) R`` with ``R = series.radius``.
-        backend: neighbor-engine backend.
     """
     if radius is None:
         radius = MEETING_RADIUS_FACTOR * series.radius
-    engine = make_engine(backend, series.side)
+    engine = GridNeighborEngine(series.side)
     trace = ContactTrace(n=series.n, n_steps=series.n_steps)
     for t in range(series.n_steps + 1):
         pairs = engine.bind(series.positions_at(t), radius).pairs_within()
@@ -146,7 +144,6 @@ def batch_record_contacts(
     frames: np.ndarray,
     radius: float,
     side: float,
-    backend: str = "auto",
 ) -> list:
     """Contact traces of ``B`` replica trajectories, one engine call per step.
 
@@ -163,7 +160,6 @@ def batch_record_contacts(
             ``MEETING_RADIUS_FACTOR * R`` to match :func:`record_contacts`
             defaults).
         side: region side length.
-        backend: batch-query backend name.
 
     Returns:
         list of ``B`` :class:`ContactTrace` objects, byte-identical to
@@ -173,7 +169,7 @@ def batch_record_contacts(
     if frames.ndim != 4 or frames.shape[3] != 2:
         raise ValueError(f"frames must have shape (B, T+1, n, 2), got {frames.shape}")
     batch_size, n_frames, n, _ = frames.shape
-    query = BatchNeighborQuery(side, batch_size, backend=backend)
+    query = BatchNeighborQuery(side, batch_size)
     traces = [ContactTrace(n=n, n_steps=n_frames - 1) for _ in range(batch_size)]
     for t in range(n_frames):
         rep, i, j = query.bind(np.ascontiguousarray(frames[:, t])).pairs_within(radius)

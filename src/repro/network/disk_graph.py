@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.neighbors import NeighborEngine, make_engine
+from repro.geometry.neighbors import GridNeighborEngine, NeighborEngine
 from repro.geometry.points import as_points
 from repro.network.union_find import components_from_edges
 
@@ -25,8 +25,8 @@ class DiskGraph:
         radius: transmission radius ``R``.
         side: side length of the region (defaults to the positions' extent;
             pass the true ``L`` when available).
-        engine: optional pre-built :class:`NeighborEngine`; by default the
-            best available backend is used.
+        engine: optional pre-built :class:`NeighborEngine`; by default a
+            :class:`~repro.geometry.neighbors.GridNeighborEngine`.
     """
 
     def __init__(self, positions, radius: float, side: float = None, engine: NeighborEngine = None):
@@ -37,7 +37,7 @@ class DiskGraph:
         if side is None:
             side = float(max(1e-9, self.positions.max())) if self.positions.size else 1.0
         self.side = float(side)
-        self._engine = engine if engine is not None else make_engine("auto", self.side)
+        self._engine = engine if engine is not None else GridNeighborEngine(self.side)
         self._edges: np.ndarray = None
         self._labels: np.ndarray = None
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.neighbors import BatchNeighborQuery, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery, GridNeighborEngine
 from repro.network.snapshots import SnapshotSeries
 
 __all__ = [
@@ -40,7 +40,6 @@ def temporal_bfs(
     series: SnapshotSeries,
     source: int,
     multi_hop: bool = False,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Earliest informed time of every agent from a single source.
 
@@ -51,7 +50,6 @@ def temporal_bfs(
             components within a single snapshot ("infinite bandwidth" /
             component flooding); when False (paper semantics) it advances
             one hop per time step.
-        backend: neighbor-engine backend name.
 
     Returns:
         float array ``times`` of shape ``(n,)`` — ``times[i]`` is the first
@@ -61,7 +59,7 @@ def temporal_bfs(
     n = series.n
     if not 0 <= source < n:
         raise ValueError(f"source must be in [0, {n}), got {source}")
-    engine = make_engine(backend, series.side)
+    engine = GridNeighborEngine(series.side)
     times = np.full(n, np.inf)
     times[source] = 0.0
     informed = np.zeros(n, dtype=bool)
@@ -87,7 +85,6 @@ def batch_temporal_bfs(
     series: SnapshotSeries,
     sources,
     multi_hop: bool = False,
-    backend: str = "auto",
 ) -> np.ndarray:
     """Earliest informed times from ``S`` sources, one engine call per step.
 
@@ -109,7 +106,7 @@ def batch_temporal_bfs(
         return np.empty((0, n))
     if np.any((sources < 0) | (sources >= n)):
         raise ValueError(f"sources must be in [0, {n})")
-    query = BatchNeighborQuery(series.side, n_sources, backend=backend)
+    query = BatchNeighborQuery(series.side, n_sources)
     times = np.full((n_sources, n), np.inf)
     informed = np.zeros((n_sources, n), dtype=bool)
     rows = np.arange(n_sources)

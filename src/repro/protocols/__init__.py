@@ -15,13 +15,33 @@ from repro.protocols.base import (
     group_segments,
     sample_indices,
 )
-from repro.protocols.epidemic import BatchSIRState, SIREpidemic
-from repro.protocols.faulty import BatchCrashFaultState, CrashFaultFlooding
-from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
-from repro.protocols.gossip import BatchGossipState, GossipProtocol
-from repro.protocols.parsimonious import BatchParsimoniousState, ParsimoniousFlooding
-from repro.protocols.probabilistic import BatchProbabilisticState, ProbabilisticFlooding
-from repro.protocols.pushpull import BatchPushPullState, PushPullGossip
+from repro.protocols.epidemic import BatchSIRState, SIREpidemic, validate_sir_options
+from repro.protocols.faulty import (
+    BatchCrashFaultState,
+    CrashFaultFlooding,
+    validate_crash_options,
+)
+from repro.protocols.flooding import (
+    BatchFloodingState,
+    FloodingProtocol,
+    validate_flooding_options,
+)
+from repro.protocols.gossip import BatchGossipState, GossipProtocol, validate_gossip_options
+from repro.protocols.parsimonious import (
+    BatchParsimoniousState,
+    ParsimoniousFlooding,
+    validate_parsimonious_options,
+)
+from repro.protocols.probabilistic import (
+    BatchProbabilisticState,
+    ProbabilisticFlooding,
+    validate_probabilistic_options,
+)
+from repro.protocols.pushpull import (
+    BatchPushPullState,
+    PushPullGossip,
+    validate_pushpull_options,
+)
 
 PROTOCOL_REGISTRY = {
     "flooding": FloodingProtocol,
@@ -46,6 +66,20 @@ BATCH_PROTOCOL_REGISTRY = {
 """Name -> batched state mapping; a protocol listed here runs under
 ``engine="batch"``, the default."""
 
+PROTOCOL_VALIDATORS = {
+    "flooding": validate_flooding_options,
+    "gossip": validate_gossip_options,
+    "push-pull": validate_pushpull_options,
+    "parsimonious": validate_parsimonious_options,
+    "probabilistic": validate_probabilistic_options,
+    "sir": validate_sir_options,
+    "crash-flooding": validate_crash_options,
+}
+"""The option checks both classes of a protocol run, keyed like
+:data:`PROTOCOL_REGISTRY`; each validator's keyword parameters are the
+protocol's option vocabulary.  :class:`~repro.simulation.config.FloodingConfig`
+calls them, so invalid protocol options fail when the config is built."""
+
 __all__ = [
     "BroadcastProtocol",
     "BatchBroadcastState",
@@ -67,4 +101,5 @@ __all__ = [
     "BatchCrashFaultState",
     "PROTOCOL_REGISTRY",
     "BATCH_PROTOCOL_REGISTRY",
+    "PROTOCOL_VALIDATORS",
 ]

@@ -34,7 +34,7 @@ import abc
 
 import numpy as np
 
-from repro.geometry.neighbors import BatchNeighborQuery, NeighborEngine, make_engine
+from repro.geometry.neighbors import BatchNeighborQuery, GridNeighborEngine
 
 __all__ = ["BroadcastProtocol", "BatchBroadcastState", "group_segments", "sample_indices"]
 
@@ -102,7 +102,6 @@ class BroadcastProtocol(abc.ABC):
         radius: transmission radius ``R``.
         source: index of the initially informed agent.
         rng: generator for randomized protocols.
-        backend: neighbor-engine backend name (``"auto"`` by default).
     """
 
     name = "abstract"
@@ -114,7 +113,6 @@ class BroadcastProtocol(abc.ABC):
         radius: float,
         source: int,
         rng: np.random.Generator = None,
-        backend: str = "auto",
     ):
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -127,7 +125,7 @@ class BroadcastProtocol(abc.ABC):
         self.radius = float(radius)
         self.source = int(source)
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.engine: NeighborEngine = make_engine(backend, self.side)
+        self.engine = GridNeighborEngine(self.side)
         self.informed = np.zeros(self.n, dtype=bool)
         self.informed[self.source] = True
         self.informed_at = np.full(self.n, np.inf)
@@ -229,7 +227,6 @@ class BatchBroadcastState(abc.ABC):
         sources: ``(B,)`` initial informed agent per replica.
         rngs: per-replica generators for the protocol's stochastic draws
             (None for deterministic protocols such as flooding).
-        backend: neighbor-engine backend name.
     """
 
     name = "abstract"
@@ -244,7 +241,6 @@ class BatchBroadcastState(abc.ABC):
         radius: float,
         sources,
         rngs=None,
-        backend: str = "auto",
     ):
         sources = np.asarray(sources, dtype=np.intp)
         if sources.ndim != 1 or sources.size < 1:
@@ -270,7 +266,7 @@ class BatchBroadcastState(abc.ABC):
             self.rngs = list(rngs)
         else:
             self.rngs = None
-        self.query = BatchNeighborQuery(self.side, self.batch_size, backend)
+        self.query = BatchNeighborQuery(self.side, self.batch_size)
         self.informed = np.zeros((self.batch_size, self.n), dtype=bool)
         self.informed[np.arange(self.batch_size), sources] = True
         self.informed_at = np.full((self.batch_size, self.n), np.inf)

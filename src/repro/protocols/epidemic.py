@@ -15,7 +15,14 @@ import numpy as np
 
 from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 
-__all__ = ["SIREpidemic", "BatchSIRState"]
+__all__ = ["validate_sir_options", "SIREpidemic", "BatchSIRState"]
+
+
+def validate_sir_options(recovery_prob: float = 0.1) -> None:
+    """Option checks of both SIR classes, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if not 0.0 <= recovery_prob <= 1.0:
+        raise ValueError(f"recovery_prob must be in [0, 1], got {recovery_prob}")
 
 
 class SIREpidemic(BroadcastProtocol):
@@ -25,8 +32,7 @@ class SIREpidemic(BroadcastProtocol):
 
     def __init__(self, *args, recovery_prob: float = 0.1, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 <= recovery_prob <= 1.0:
-            raise ValueError(f"recovery_prob must be in [0, 1], got {recovery_prob}")
+        validate_sir_options(recovery_prob)
         self.recovery_prob = float(recovery_prob)
         self.recovered = np.zeros(self.n, dtype=bool)
 
@@ -79,8 +85,7 @@ class BatchSIRState(BatchBroadcastState):
 
     def __init__(self, *args, recovery_prob: float = 0.1, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 <= recovery_prob <= 1.0:
-            raise ValueError(f"recovery_prob must be in [0, 1], got {recovery_prob}")
+        validate_sir_options(recovery_prob)
         self.recovery_prob = float(recovery_prob)
         self.recovered = np.zeros((self.batch_size, self.n), dtype=bool)
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 
-__all__ = ["CrashFaultFlooding", "BatchCrashFaultState"]
+__all__ = ["validate_crash_options", "CrashFaultFlooding", "BatchCrashFaultState"]
+
+
+def validate_crash_options(crash_prob: float = 0.001) -> None:
+    """Option checks of both crash-fault classes, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if not 0.0 <= crash_prob <= 1.0:
+        raise ValueError(f"crash_prob must be in [0, 1], got {crash_prob}")
 
 
 class CrashFaultFlooding(BroadcastProtocol):
@@ -26,8 +33,7 @@ class CrashFaultFlooding(BroadcastProtocol):
 
     def __init__(self, *args, crash_prob: float = 0.001, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 <= crash_prob <= 1.0:
-            raise ValueError(f"crash_prob must be in [0, 1], got {crash_prob}")
+        validate_crash_options(crash_prob)
         self.crash_prob = float(crash_prob)
         self.crashed = np.zeros(self.n, dtype=bool)
 
@@ -88,8 +94,7 @@ class BatchCrashFaultState(BatchBroadcastState):
 
     def __init__(self, *args, crash_prob: float = 0.001, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 <= crash_prob <= 1.0:
-            raise ValueError(f"crash_prob must be in [0, 1], got {crash_prob}")
+        validate_crash_options(crash_prob)
         self.crash_prob = float(crash_prob)
         self.crashed = np.zeros((self.batch_size, self.n), dtype=bool)
 

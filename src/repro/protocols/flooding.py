@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 
-__all__ = ["FloodingProtocol", "BatchFloodingState"]
+__all__ = ["validate_flooding_options", "FloodingProtocol", "BatchFloodingState"]
+
+
+def validate_flooding_options(multi_hop: bool = False) -> None:
+    """Option vocabulary of both flooding classes (``multi_hop`` takes any
+    truth value), checked by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
 
 
 class FloodingProtocol(BroadcastProtocol):
@@ -89,11 +95,10 @@ class BatchFloodingState(BatchBroadcastState):
         side: float,
         radius: float,
         sources,
-        backend: str = "auto",
         multi_hop: bool = False,
         rngs=None,
     ):
-        super().__init__(n, side, radius, sources, rngs=rngs, backend=backend)
+        super().__init__(n, side, radius, sources, rngs=rngs)
         self.multi_hop = bool(multi_hop)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:

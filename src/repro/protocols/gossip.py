@@ -17,8 +17,8 @@ draws per cut-incident sender are needed — ``O(cut)`` per step instead of
 ``O(edges)``, which collapses the early (few informed) and late (few
 uninformed) phases of a run.  Draw order is canonical — senders ascending,
 their cut-neighbors ascending — so trajectories are independent of the
-neighbor backend and the batched state replays the scalar draws
-seed-for-seed.
+order in which contacts are enumerated, and the batched state replays the
+scalar draws seed-for-seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,14 @@ from repro.protocols.base import (
     sample_indices,
 )
 
-__all__ = ["GossipProtocol", "BatchGossipState"]
+__all__ = ["validate_gossip_options", "GossipProtocol", "BatchGossipState"]
+
+
+def validate_gossip_options(fanout: int = 1) -> None:
+    """Option checks of both gossip classes, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if fanout < 1:
+        raise ValueError(f"fanout must be at least 1, got {fanout}")
 
 
 class GossipProtocol(BroadcastProtocol):
@@ -47,8 +54,7 @@ class GossipProtocol(BroadcastProtocol):
 
     def __init__(self, *args, fanout: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if fanout < 1:
-            raise ValueError(f"fanout must be at least 1, got {fanout}")
+        validate_gossip_options(fanout)
         self.fanout = int(fanout)
 
     def _exchange(self, positions: np.ndarray) -> np.ndarray:
@@ -96,8 +102,7 @@ class BatchGossipState(BatchBroadcastState):
 
     def __init__(self, *args, fanout: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if fanout < 1:
-            raise ValueError(f"fanout must be at least 1, got {fanout}")
+        validate_gossip_options(fanout)
         self.fanout = int(fanout)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:

@@ -13,7 +13,14 @@ import numpy as np
 
 from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 
-__all__ = ["ParsimoniousFlooding", "BatchParsimoniousState"]
+__all__ = ["validate_parsimonious_options", "ParsimoniousFlooding", "BatchParsimoniousState"]
+
+
+def validate_parsimonious_options(active_window: int = 1) -> None:
+    """Option checks of both parsimonious classes, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if active_window < 1:
+        raise ValueError(f"active_window must be at least 1, got {active_window}")
 
 
 class ParsimoniousFlooding(BroadcastProtocol):
@@ -23,8 +30,7 @@ class ParsimoniousFlooding(BroadcastProtocol):
 
     def __init__(self, *args, active_window: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if active_window < 1:
-            raise ValueError(f"active_window must be at least 1, got {active_window}")
+        validate_parsimonious_options(active_window)
         self.active_window = int(active_window)
 
     def _active_mask(self) -> np.ndarray:
@@ -67,8 +73,7 @@ class BatchParsimoniousState(BatchBroadcastState):
 
     def __init__(self, *args, active_window: int = 1, **kwargs):
         super().__init__(*args, **kwargs)
-        if active_window < 1:
-            raise ValueError(f"active_window must be at least 1, got {active_window}")
+        validate_parsimonious_options(active_window)
         self.active_window = int(active_window)
 
     def can_progress_mask(self) -> np.ndarray:

@@ -13,7 +13,14 @@ import numpy as np
 
 from repro.protocols.base import BatchBroadcastState, BroadcastProtocol
 
-__all__ = ["ProbabilisticFlooding", "BatchProbabilisticState"]
+__all__ = ["validate_probabilistic_options", "ProbabilisticFlooding", "BatchProbabilisticState"]
+
+
+def validate_probabilistic_options(p: float = 0.5) -> None:
+    """Option checks of both probabilistic classes, also run by
+    :class:`~repro.simulation.config.FloodingConfig` at construction."""
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"p must be in (0, 1], got {p}")
 
 
 class ProbabilisticFlooding(BroadcastProtocol):
@@ -23,8 +30,7 @@ class ProbabilisticFlooding(BroadcastProtocol):
 
     def __init__(self, *args, p: float = 0.5, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
+        validate_probabilistic_options(p)
         self.p = float(p)
 
     def _exchange(self, positions: np.ndarray) -> np.ndarray:
@@ -51,8 +57,7 @@ class BatchProbabilisticState(BatchBroadcastState):
 
     def __init__(self, *args, p: float = 0.5, **kwargs):
         super().__init__(*args, **kwargs)
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
+        validate_probabilistic_options(p)
         self.p = float(p)
 
     def _exchange(self, snapshot, active: np.ndarray) -> np.ndarray:

@@ -13,8 +13,8 @@ informed/uninformed cut: an agent's uniform contact crosses the cut iff
 its picked index falls below the agent's cut-degree, so only the
 cut-incident agents draw (one uniform each) and only the cut contacts are
 materialized — ``O(cut)`` per step.  Draw order is canonical (initiators
-ascending, cut-neighbors ascending), so scalar trajectories are
-backend-independent and the batched state replays them seed-for-seed.
+ascending, cut-neighbors ascending), so trajectories do not depend on the
+contact enumeration order and the batched state replays them seed-for-seed.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from repro.protocols.base import (
     group_segments,
 )
 
-__all__ = ["PushPullGossip", "BatchPushPullState"]
+__all__ = ["validate_pushpull_options", "PushPullGossip", "BatchPushPullState"]
+
+
+def validate_pushpull_options() -> None:
+    """Push-pull takes no options; the empty signature is the vocabulary
+    :class:`~repro.simulation.config.FloodingConfig` checks at construction."""
 
 
 class PushPullGossip(BroadcastProtocol):

@@ -97,7 +97,6 @@ def build_batch_state(config: FloodingConfig, sources, rngs) -> BatchBroadcastSt
         config.radius,
         sources,
         rngs=rngs,
-        backend=config.backend,
         **options,
     )
 

@@ -12,10 +12,12 @@ The helper :func:`standard_config` builds the paper's canonical scaling
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 
 from repro.core import theory
+from repro.core.zones import density_threshold
 from repro.kernels import KERNEL_TIERS, resolve_kernel_tier
 from repro.mobility import (
     BATCH_MOBILITY_REGISTRY,
@@ -23,7 +25,7 @@ from repro.mobility import (
     MODEL_VALIDATORS,
     NO_INIT_MODELS,
 )
-from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
+from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY, PROTOCOL_VALIDATORS
 
 __all__ = ["FloodingConfig", "standard_config", "mobility_arguments"]
 
@@ -75,7 +77,6 @@ class FloodingConfig:
             only), or ``"uniform"`` (cold start).  Validated here; models
             with a narrower vocabulary raise their own error at
             construction instead of silently substituting a default.
-        backend: neighbor-engine backend.
         seed: root seed for all randomness of the run.
         threshold_factor: Definition 4's Central-Zone constant (3/8 paper).
         multi_hop: flooding semantics (see
@@ -115,7 +116,6 @@ class FloodingConfig:
     protocol: str = "flooding"
     protocol_options: dict = field(default_factory=dict)
     init: str = "stationary"
-    backend: str = "auto"
     seed: int = 0
     threshold_factor: float = 3.0 / 8.0
     multi_hop: bool = False
@@ -169,6 +169,8 @@ class FloodingConfig:
                 f"unknown protocol {self.protocol!r}; registered protocols: "
                 f"{sorted(PROTOCOL_REGISTRY)}"
             )
+        self._validate_protocol_options()
+        density_threshold(self.n, self.threshold_factor)  # the zones' own check
         # Engine/model combinations fail here, at construction, with a
         # clear message — not as a deep ValueError once trials start.
         if self.engine == "batch" and self.protocol not in BATCH_PROTOCOL_REGISTRY:
@@ -187,6 +189,23 @@ class FloodingConfig:
             raise ValueError(
                 f"kernels must be one of {KERNEL_TIERS}, got {self.kernels!r}"
             )
+
+    def _validate_protocol_options(self) -> None:
+        """The protocol's own option checks, at config time."""
+        validate = PROTOCOL_VALIDATORS.get(self.protocol)
+        if validate is None:
+            raise ValueError(
+                f"protocol {self.protocol!r} is registered but has no option "
+                "validator; add it to repro.protocols.PROTOCOL_VALIDATORS"
+            )
+        allowed = set(inspect.signature(validate).parameters)
+        unknown = set(self.protocol_options) - allowed
+        if unknown:
+            raise ValueError(
+                f"unknown protocol options for {self.protocol!r}: {sorted(unknown)} "
+                f"(accepted: {sorted(allowed) or 'none'})"
+            )
+        validate(**self.protocol_options)
 
     def _validate_mobility_options(self) -> None:
         """Per-model option vocabulary and value checks, at config time."""

@@ -57,7 +57,6 @@ def build_protocol(config: FloodingConfig, source: int, rng: np.random.Generator
         config.radius,
         source,
         rng=rng,
-        backend=config.backend,
         **options,
     )
 

@@ -1,19 +1,22 @@
-"""Seed-for-seed parity across every neighbor-subsystem strategy.
+"""Seed-for-seed parity across engines and kernel tiers.
 
-The repo's core invariant: spatial-index strategy choices (grid vs KD-tree
-vs brute force vs cell cover, scalar vs batch engine) are *performance*
-knobs — with fixed seeds every combination must produce identical trial
-results, down to the informed-at step of every agent.
+The repo's core invariant: the engine (scalar or batch) and the kernel
+tier (numpy or compiled) are *performance* choices — with fixed seeds
+every combination must produce identical trial results, down to the
+informed-at step of every agent.  Which spatial index proposes candidates
+is not a choice at all: one exact predicate decides every contact.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends
+from repro.geometry.neighbors import BatchNeighborQuery, BruteForceNeighborEngine
+from repro.kernels import kernel_backend
 from repro.protocols.flooding import BatchFloodingState, FloodingProtocol
 from repro.simulation import run_trials, standard_config
 
 ENGINES = ("scalar", "batch")
+TIERS = ("numpy", "compiled") if kernel_backend() is not None else ("numpy",)
 
 
 def fingerprints(config, trials=4):
@@ -32,7 +35,7 @@ def fingerprints(config, trials=4):
 
 
 class TestStrategyParity:
-    """backends x engines x mobility."""
+    """engines x tiers x mobility."""
 
     @pytest.mark.parametrize(
         "mobility,mobility_options",
@@ -46,66 +49,65 @@ class TestStrategyParity:
         ],
     )
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_backend_and_engine_are_invisible_in_results(self, mobility, mobility_options, engine):
+    def test_engine_and_tier_are_invisible_in_results(self, mobility, mobility_options, engine):
         base = standard_config(
             90, seed=23, mobility=mobility, mobility_options=dict(mobility_options)
         )
-        reference = fingerprints(base.with_options(engine="scalar"))
-        for backend in available_backends():
-            variant = base.with_options(backend=backend, engine=engine)
-            assert fingerprints(variant) == reference, (mobility, backend, engine)
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_backends_agree_across_engines(self, backend):
-        reference = fingerprints(standard_config(70, seed=31, engine="scalar"), trials=3)
-        for engine in ENGINES:
-            config = standard_config(70, seed=31, backend=backend, engine=engine)
-            assert fingerprints(config, trials=3) == reference, (backend, engine)
+        reference = fingerprints(base.with_options(engine="scalar", kernels="numpy"))
+        for kernels in TIERS:
+            variant = base.with_options(engine=engine, kernels=kernels)
+            assert fingerprints(variant) == reference, (mobility, engine, kernels)
 
     @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_multi_hop_frontier_parity(self, backend, engine):
+    def test_multi_hop_frontier_parity(self, engine):
         """The batch frontier hops agree with the plain scalar closure."""
-        base = standard_config(80, seed=17, multi_hop=True, engine="scalar")
+        base = standard_config(80, seed=17, multi_hop=True, engine="scalar", kernels="numpy")
         reference = fingerprints(base)
-        variant = base.with_options(backend=backend, engine=engine)
-        assert fingerprints(variant) == reference, (backend, engine)
+        for kernels in TIERS:
+            variant = base.with_options(engine=engine, kernels=kernels)
+            assert fingerprints(variant) == reference, (engine, kernels)
 
     def test_randomized_sweep_across_seeds(self):
-        """Randomized workloads: every backend and engine, many seeds."""
+        """Randomized workloads: every engine and tier, many seeds."""
         for seed in (1, 7, 101):
             reference = None
-            for backend in available_backends():
+            for kernels in TIERS:
                 for engine in ENGINES:
                     config = standard_config(
-                        60, seed=seed, radius_factor=1.2, backend=backend, engine=engine
+                        60, seed=seed, radius_factor=1.2, engine=engine, kernels=kernels
                     )
                     got = fingerprints(config, trials=3)
                     if reference is None:
                         reference = got
-                    assert got == reference, (seed, backend, engine)
+                    assert got == reference, (seed, engine, kernels)
 
 
 class TestAdversarialStates:
     """Hand-built states that stress the kernels' boundary logic."""
 
-    def batch_hits(self, positions, informed, radius, side, backend="auto"):
+    def batch_hits(self, positions, informed, radius, side):
         batch, n = informed.shape
-        query = BatchNeighborQuery(side, batch, backend)
+        query = BatchNeighborQuery(side, batch)
         return query.any_within(positions, informed, ~informed, radius)
+
+    def brute_hits(self, positions, informed, radius):
+        brute = BruteForceNeighborEngine(1.0)
+        hits = np.zeros(informed.shape, dtype=bool)
+        for b in range(informed.shape[0]):
+            hits[b, ~informed[b]] = brute.any_within(
+                positions[b][informed[b]], positions[b][~informed[b]], radius
+            )
+        return hits
 
     def test_near_complete_informed_set(self, rng):
         """informed ~ n, a handful of stragglers: the cell cover must still
-        match the tiled grid engine and brute force."""
+        match brute force."""
         batch, n, side, radius = 3, 200, 14.0, 1.5
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = np.ones((batch, n), dtype=bool)
         informed[:, :3] = False  # three stragglers per replica
         got = self.batch_hits(positions, informed, radius, side)
-        tiled = self.batch_hits(positions, informed, radius, side, backend="grid")
-        brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, tiled)
-        assert np.array_equal(got, brute)
+        assert np.array_equal(got, self.brute_hits(positions, informed, radius))
 
     def test_agents_on_cover_cell_boundaries(self):
         """Sources sitting exactly on occupancy-cell edges."""
@@ -121,8 +123,7 @@ class TestAdversarialStates:
         informed = np.zeros((1, n), dtype=bool)
         informed[0, :-1] = True
         got = self.batch_hits(positions, informed, radius, side)
-        brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-        assert np.array_equal(got, brute)
+        assert np.array_equal(got, self.brute_hits(positions, informed, radius))
         assert got[0, -1]  # inclusive <= R
 
     def test_radius_comparable_to_cell_size(self, rng):
@@ -131,9 +132,8 @@ class TestAdversarialStates:
         positions = rng.uniform(0, side, size=(2, 120, 2))
         informed = rng.uniform(size=(2, 120)) < 0.4
         for radius in (0.11, 0.5, 3.0):
-            got = self.batch_hits(positions, informed, radius, side, backend="cells")
-            brute = self.batch_hits(positions, informed, radius, side, backend="brute")
-            assert np.array_equal(got, brute), radius
+            got = self.batch_hits(positions, informed, radius, side)
+            assert np.array_equal(got, self.brute_hits(positions, informed, radius)), radius
 
     def test_scalar_protocol_with_external_informed_surgery(self, rng):
         """The scalar protocol reads the informed mask afresh every round,

@@ -80,18 +80,6 @@ class TestGridAgainstBruteForce:
         }
         assert got == expected
 
-    def test_query_radius_matches(self, rng):
-        sources = rng.uniform(0, 10, (50, 2))
-        queries = rng.uniform(0, 10, (10, 2))
-        radius = 2.0
-        index = GridIndex(10.0, 1.0)
-        index.build(sources)
-        lists = index.query_radius(queries, radius)
-        dists = np.sqrt(((queries[:, None, :] - sources[None, :, :]) ** 2).sum(-1))
-        for i in range(10):
-            expected = set(np.nonzero(dists[i] <= radius)[0].tolist())
-            assert set(lists[i].tolist()) == expected
-
     @given(
         n_src=st.integers(min_value=0, max_value=40),
         n_q=st.integers(min_value=1, max_value=20),

@@ -1,44 +1,39 @@
-"""Cross-validation of the neighbor-engine backends."""
+"""Cross-validation of the neighbor engines against brute force."""
 
 import numpy as np
 import pytest
 
 import repro.geometry.neighbors as neighbors_module
 from repro.geometry.neighbors import (
+    BatchNeighborQuery,
     BruteForceNeighborEngine,
     GridNeighborEngine,
     available_backends,
-    make_engine,
 )
 
-BACKENDS = available_backends()
+
+def brute_batch_hits(positions, sources, queries, radius):
+    """Per-replica ``any_within`` by brute force, shaped like the batch query."""
+    brute = BruteForceNeighborEngine(1.0)
+    hits = np.zeros(sources.shape, dtype=bool)
+    for b in range(positions.shape[0]):
+        hits[b, queries[b]] = brute.any_within(
+            positions[b][sources[b]], positions[b][queries[b]], radius
+        )
+    return hits
 
 
-class TestFactory:
-    def test_known_backends(self):
-        for name in BACKENDS:
-            engine = make_engine(name, 10.0)
-            assert engine.name == name
-
-    def test_auto_resolves(self):
-        engine = make_engine("auto", 10.0)
-        assert engine.name in BACKENDS
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            make_engine("quantum", 10.0)
-
+class TestEngineConstruction:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             GridNeighborEngine(-1.0)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestBackendAgreement:
-    def test_any_within_agrees_with_brute(self, backend, rng):
+class TestGridAgreement:
+    def test_any_within_agrees_with_brute(self, rng):
         sources = rng.uniform(0, 10, (70, 2))
         queries = rng.uniform(0, 10, (50, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         brute = BruteForceNeighborEngine(10.0)
         for radius in (0.3, 1.0, 4.0):
             assert np.array_equal(
@@ -46,49 +41,48 @@ class TestBackendAgreement:
                 brute.any_within(sources, queries, radius),
             )
 
-    def test_count_within_agrees(self, backend, rng):
+    def test_count_within_agrees(self, rng):
         sources = rng.uniform(0, 10, (70, 2))
         queries = rng.uniform(0, 10, (30, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         brute = BruteForceNeighborEngine(10.0)
         assert np.array_equal(
             engine.count_within(sources, queries, 1.5),
             brute.count_within(sources, queries, 1.5),
         )
 
-    def test_pairs_within_agrees(self, backend, rng):
+    def test_pairs_within_agrees(self, rng):
         points = rng.uniform(0, 10, (80, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         brute = BruteForceNeighborEngine(10.0)
         got = {tuple(sorted(p)) for p in engine.pairs_within(points, 1.1).tolist()}
         expected = {tuple(sorted(p)) for p in brute.pairs_within(points, 1.1).tolist()}
         assert got == expected
 
-    def test_empty_sources(self, backend):
-        engine = make_engine(backend, 10.0)
+    def test_empty_sources(self):
+        engine = GridNeighborEngine(10.0)
         queries = np.array([[5.0, 5.0]])
         assert not engine.any_within(np.empty((0, 2)), queries, 1.0)[0]
         assert engine.count_within(np.empty((0, 2)), queries, 1.0)[0] == 0
 
-    def test_empty_points_pairs(self, backend):
-        engine = make_engine(backend, 10.0)
+    def test_empty_points_pairs(self):
+        engine = GridNeighborEngine(10.0)
         assert engine.pairs_within(np.empty((0, 2)), 1.0).shape == (0, 2)
 
-    def test_coincident_points(self, backend):
+    def test_coincident_points(self):
         """Duplicate positions (possible under MRWP corners) are handled."""
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         points = np.array([[5.0, 5.0], [5.0, 5.0], [9.0, 9.0]])
         pairs = engine.pairs_within(points, 0.5)
         assert {tuple(sorted(p)) for p in pairs.tolist()} == {(0, 1)}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBoundSnapshot:
     """bind(): one index per snapshot, masked index-based queries."""
 
-    def test_snapshot_matches_coordinate_api(self, backend, rng):
+    def test_snapshot_matches_coordinate_api(self, rng):
         points = rng.uniform(0, 10, (120, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         brute = BruteForceNeighborEngine(10.0)
         snapshot = engine.bind(points, 1.2)
         for seed in range(3):
@@ -100,10 +94,10 @@ class TestBoundSnapshot:
             assert np.array_equal(snapshot.any_within(source_idx, query_idx), expected_any)
             assert np.array_equal(snapshot.count_within(source_idx, query_idx), expected_count)
 
-    def test_snapshot_dense_sources_few_queries(self, backend, rng):
+    def test_snapshot_dense_sources_few_queries(self, rng):
         """Dense sources, few queries: the late rounds of a flooding run."""
         points = rng.uniform(0, 10, (200, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         brute = BruteForceNeighborEngine(10.0)
         snapshot = engine.bind(points, 1.5)
         source_idx = np.arange(190)
@@ -111,19 +105,19 @@ class TestBoundSnapshot:
         expected = brute.any_within(points[source_idx], points[query_idx], 1.5)
         assert np.array_equal(snapshot.any_within(source_idx, query_idx), expected)
 
-    def test_snapshot_empty_sides(self, backend, rng):
+    def test_snapshot_empty_sides(self, rng):
         points = rng.uniform(0, 10, (30, 2))
-        snapshot = make_engine(backend, 10.0).bind(points, 1.0)
+        snapshot = GridNeighborEngine(10.0).bind(points, 1.0)
         empty = np.empty(0, dtype=np.intp)
         some = np.arange(5)
         assert snapshot.any_within(empty, some).tolist() == [False] * 5
         assert snapshot.count_within(empty, some).tolist() == [0] * 5
         assert snapshot.any_within(some, empty).size == 0
 
-    def test_successive_binds_match_brute_force(self, backend, rng):
+    def test_successive_binds_match_brute_force(self, rng):
         """Successive binds on one engine with drifting points: every round
         must agree with brute force (no state leaks between snapshots)."""
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         fresh = BruteForceNeighborEngine(10.0)
         points = rng.uniform(0, 10, (150, 2))
         for _ in range(6):
@@ -152,10 +146,10 @@ class TestBoundSnapshot:
         pairs = {tuple(sorted(p)) for p in got.pairs_within().tolist()}
         assert pairs == {tuple(sorted(p)) for p in expected.pairs_within().tolist()}
 
-    def test_rebind_exact_when_points_cross_bucket_boundaries(self, backend, rng):
+    def test_rebind_exact_when_points_cross_bucket_boundaries(self, rng):
         """Adversarial: points ping-ponging exactly across bucket edges
         between binds of one engine."""
-        engine = make_engine(backend, 12.0)
+        engine = GridNeighborEngine(12.0)
         edges = np.arange(1, 11, dtype=np.float64)
         points = np.stack([edges, np.full(10, 5.0)], axis=1)
         for offset in (-1e-9, 1e-9, -0.5, 0.5, 0.0):
@@ -163,19 +157,19 @@ class TestBoundSnapshot:
             moved[:, 0] = edges + offset
             self.assert_snapshots_agree(engine, moved, 1.0, rng)
 
-    def test_rebind_radius_close_to_bucket_side(self, backend, rng):
+    def test_rebind_radius_close_to_bucket_side(self, rng):
         """Adversarial: radii straddling the grid bucket side (== radius
         for the grid engine's default cell size)."""
-        engine = make_engine(backend, 12.0)
+        engine = GridNeighborEngine(12.0)
         points = rng.uniform(0, 12.0, (120, 2))
         for radius in (0.999, 1.0, 1.000001):
             points = np.clip(points + rng.uniform(-0.3, 0.3, points.shape), 0, 12.0)
             self.assert_snapshots_agree(engine, points, radius, rng)
 
-    def test_rebind_after_point_count_change(self, backend, rng):
+    def test_rebind_after_point_count_change(self, rng):
         """A snapshot carries nothing over: a bind with a different number
         of points is exact too."""
-        engine = make_engine(backend, 12.0)
+        engine = GridNeighborEngine(12.0)
         for n in (50, 70, 20):
             self.assert_snapshots_agree(engine, rng.uniform(0, 12.0, (n, 2)), 1.0, rng)
 
@@ -196,6 +190,20 @@ class TestCachesAndProbes:
         assert available_backends() == first
         assert available_backends() == first
         assert calls == []
+
+    def test_lists_kdtree_exactly_when_scipy_imports(self):
+        """Run provenance reads this list: the KD-tree is listed first
+        whenever scipy imports, and the grid is always there."""
+        try:
+            import scipy.spatial  # noqa: F401
+        except ImportError:
+            expected = ["grid"]
+        else:
+            expected = ["kdtree", "grid"]
+        assert available_backends() == expected
+
+    def test_scipy_blocked_leaves_the_grid(self, block_scipy):
+        assert available_backends() == ["grid"]
 
     def test_available_backends_returns_fresh_list(self):
         """Callers may mutate the returned list without corrupting the cache."""
@@ -262,13 +270,11 @@ class TestDilate:
 
 
 class TestCoarseCoverDivisor:
-    def test_sqrt5_cross_branch_stays_exact(self, rng, monkeypatch):
-        """The cross-neighborhood branch (reach_sure == 0) only triggers
-        for divisors below 2*sqrt2; pin the seed's sqrt(5) cover to keep
-        it covered and exact."""
+    def test_sqrt5_own_cell_cover_stays_exact(self, rng, monkeypatch):
+        """Divisors below 2*sqrt2 shrink the certain-hit box to the
+        query's own cell (reach_sure == 0); the seed's sqrt(5) cover must
+        stay exact."""
         import math
-
-        from repro.geometry.neighbors import BatchNeighborQuery
 
         monkeypatch.setattr(BatchNeighborQuery, "_COVER_DIVISOR", math.sqrt(5.0))
         side, radius = 12.0, 1.4
@@ -276,9 +282,7 @@ class TestCoarseCoverDivisor:
         informed = rng.uniform(size=(3, 100)) < 0.35
         query = BatchNeighborQuery(side, 3)
         got = query.any_within(positions, informed, ~informed, radius)
-        brute = BatchNeighborQuery(side, 3, backend="brute")
-        expected = brute.any_within(positions, informed, ~informed, radius)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, brute_batch_hits(positions, informed, ~informed, radius))
 
 
 class TestContactsWithin:
@@ -290,10 +294,9 @@ class TestContactsWithin:
         qpos, spos = np.nonzero(dist2 <= radius * radius)
         return set(zip(source_idx[spos].tolist(), query_idx[qpos].tolist()))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_brute_pairs(self, backend, rng):
+    def test_matches_brute_pairs(self, rng):
         points = rng.uniform(0, 10, (150, 2))
-        engine = make_engine(backend, 10.0)
+        engine = GridNeighborEngine(10.0)
         snapshot = engine.bind(points, 1.3)
         informed = rng.uniform(size=150) < 0.4
         source_idx = np.nonzero(informed)[0]
@@ -303,12 +306,10 @@ class TestContactsWithin:
             points, source_idx, query_idx, 1.3
         )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dense_sources_few_queries(self, backend, rng):
-        """The late-round shape (sources ~ n, a handful of queries) — the
-        grid backend's persistent full-index path."""
+    def test_dense_sources_few_queries(self, rng):
+        """The late-round shape (sources ~ n, a handful of queries)."""
         points = rng.uniform(0, 12, (200, 2))
-        engine = make_engine(backend, 12.0)
+        engine = GridNeighborEngine(12.0)
         snapshot = engine.bind(points, 1.5)
         source_idx = np.arange(197)
         query_idx = np.array([197, 198, 199])
@@ -319,7 +320,7 @@ class TestContactsWithin:
 
     def test_empty_sides(self, rng):
         points = rng.uniform(0, 10, (20, 2))
-        snapshot = make_engine("grid", 10.0).bind(points, 1.0)
+        snapshot = GridNeighborEngine(10.0).bind(points, 1.0)
         empty = np.empty(0, dtype=np.intp)
         for source_idx, query_idx in ((empty, np.arange(20)), (np.arange(20), empty)):
             s, q = snapshot.contacts_within(source_idx, query_idx)
@@ -330,15 +331,13 @@ class TestBatchContactsAndPairs:
     """Batched bipartite contacts and per-replica edge lists."""
 
     def test_batch_contacts_match_scalar(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         batch, n, side, radius = 4, 90, 11.0, 1.4
         positions = rng.uniform(0, side, size=(batch, n, 2))
         informed = rng.uniform(size=(batch, n)) < 0.4
         query = BatchNeighborQuery(side, batch)
         snapshot = query.bind(positions)
         rep, s, t = snapshot.contacts_within(informed, ~informed, radius)
-        brute = make_engine("brute", side)
+        brute = BruteForceNeighborEngine(side)
         for b in range(batch):
             scalar = brute.bind(positions[b], radius).contacts_within(
                 np.nonzero(informed[b])[0], np.nonzero(~informed[b])[0]
@@ -348,22 +347,18 @@ class TestBatchContactsAndPairs:
             assert got == expected, b
 
     def test_batch_pairs_match_scalar_engines(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         batch, n, side, radius = 3, 80, 10.0, 1.2
         positions = rng.uniform(0, side, size=(batch, n, 2))
         query = BatchNeighborQuery(side, batch)
         rep, i, j = query.bind(positions).pairs_within(radius)
         assert np.all(i < j)
-        brute = make_engine("brute", side)
+        brute = BruteForceNeighborEngine(side)
         for b in range(batch):
             expected = {tuple(p) for p in brute.pairs_within(positions[b], radius).tolist()}
             got = set(zip(i[rep == b].tolist(), j[rep == b].tolist()))
             assert got == expected, b
 
     def test_pairs_rows_restriction(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         batch, n, side, radius = 4, 60, 9.0, 1.5
         positions = rng.uniform(0, side, size=(batch, n, 2))
         query = BatchNeighborQuery(side, batch)
@@ -384,16 +379,11 @@ class TestCellCoverLiveReplicas:
     SIDE, BATCH, N = 9.0, 5, 70
 
     def brute_hits(self, positions, sources, queries, radius):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
-        brute = BatchNeighborQuery(self.SIDE, self.BATCH, backend="brute")
-        return brute.any_within(positions, sources, queries, radius)
+        return brute_batch_hits(positions, sources, queries, radius)
 
     def test_live_row_cells_match_all_row_cells(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
-        snapshot = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells").bind(positions)
+        snapshot = BatchNeighborQuery(self.SIDE, self.BATCH).bind(positions)
         full, m = snapshot._cells_for(1.3, np.arange(self.BATCH))
         rows = np.array([0, 3, 4])
         live, m_live = snapshot._cells_for(1.3, rows)
@@ -405,28 +395,24 @@ class TestCellCoverLiveReplicas:
 
     @pytest.mark.parametrize("radius", [0.3, 1.0, 2.5])
     def test_retired_replicas_report_no_hits(self, radius, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
         sources = rng.uniform(size=(self.BATCH, self.N)) < 0.3
         queries = ~sources
         retired = np.array([1, 2])
         sources[retired] = False
         queries[retired] = False
-        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
         got = query.any_within(positions, sources, queries, radius)
         assert not got[retired].any()
         assert np.array_equal(got, self.brute_hits(positions, sources, queries, radius))
 
     def test_source_only_and_query_only_replicas(self, rng):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
         sources = rng.uniform(size=(self.BATCH, self.N)) < 0.4
         queries = ~sources
         queries[0] = False  # sources only: nothing to answer
         sources[1] = False  # queries only: nothing can hit
-        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
         got = query.any_within(positions, sources, queries, 1.2)
         assert not got[:2].any()
         assert np.array_equal(got, self.brute_hits(positions, sources, queries, 1.2))
@@ -434,9 +420,7 @@ class TestCellCoverLiveReplicas:
     def test_partial_replica_drift_across_binds(self, rng):
         """Rounds where only some replicas move and others retire: every
         bind must agree with brute force."""
-        from repro.geometry.neighbors import BatchNeighborQuery
-
-        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
         informed = rng.uniform(size=(self.BATCH, self.N)) < 0.2
         live = np.ones(self.BATCH, dtype=bool)
@@ -453,12 +437,10 @@ class TestCellCoverLiveReplicas:
             live[t % self.BATCH] = False
 
     def test_oversized_cover_grid_falls_back_to_tiling(self, rng, monkeypatch):
-        from repro.geometry.neighbors import BatchNeighborQuery
-
         monkeypatch.setattr(BatchNeighborQuery, "_MAX_COVER_CELLS", 10)
         positions = rng.uniform(0, self.SIDE, size=(self.BATCH, self.N, 2))
         sources = rng.uniform(size=(self.BATCH, self.N)) < 0.3
-        query = BatchNeighborQuery(self.SIDE, self.BATCH, backend="cells")
+        query = BatchNeighborQuery(self.SIDE, self.BATCH)
         snapshot = query.bind(positions)
         assert snapshot._cells_for(1.0, np.arange(self.BATCH)) is None
         got = snapshot.any_within(sources, ~sources, 1.0)

@@ -1,8 +1,8 @@
 """Integration tests: cross-validation of independent implementations.
 
 The flooding *protocol* driver and the evolving-graph *temporal BFS* are
-two separate code paths computing the same quantity; the neighbor-engine
-backends are interchangeable; the paper's structural bounds must hold on
+two separate code paths computing the same quantity; the grid engine
+matches brute force; the paper's structural bounds must hold on
 real runs.  These tests wire whole subsystems together.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import theory
-from repro.geometry.neighbors import available_backends
+from repro.geometry.neighbors import BruteForceNeighborEngine
 from repro.mobility.mrwp import ManhattanRandomWaypoint
 from repro.network.evolving import temporal_bfs
 from repro.network.snapshots import SnapshotSeries
@@ -46,21 +46,19 @@ class TestFloodingEqualsTemporalBfs:
         assert np.allclose(bfs_times[finite], protocol_times[finite])
 
 
-class TestBackendEquivalence:
-    def test_flooding_identical_across_backends(self):
+class TestEngineEquivalence:
+    def test_flooding_identical_on_brute_force_engine(self):
         model = ManhattanRandomWaypoint(N, SIDE, 0.4, rng=np.random.default_rng(4))
         series = SnapshotSeries.record(model, 40, radius=2.0)
-        results = {}
-        for backend in available_backends():
-            protocol = FloodingProtocol(N, SIDE, 2.0, 0, backend=backend)
+        results = []
+        for brute in (False, True):
+            protocol = FloodingProtocol(N, SIDE, 2.0, 0)
+            if brute:
+                protocol.engine = BruteForceNeighborEngine(SIDE)
             for t in range(1, series.n_steps + 1):
                 protocol.step(series.positions_at(t))
-            results[backend] = protocol.informed_at.copy()
-        reference = results.popitem()[1]
-        for times in results.values():
-            finite = np.isfinite(reference)
-            assert np.array_equal(finite, np.isfinite(times))
-            assert np.allclose(reference[finite], times[finite])
+            results.append(protocol.informed_at.copy())
+        assert np.array_equal(results[0], results[1])
 
 
 class TestPaperStructuralBounds:

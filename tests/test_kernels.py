@@ -1,7 +1,7 @@
 """Compiled kernel tier: registry, parity, and end-to-end invisibility.
 
-The tier's core contract is the same one the neighbor-backend suite
-enforces: ``kernels`` is a *performance* knob.  Every compiled kernel is
+The tier's core contract is the one every engine choice obeys:
+``kernels`` is a *performance* knob.  Every compiled kernel is
 bit-exact against its numpy path, so compiled and numpy runs of the same
 seeds must be indistinguishable down to the informed-at step of every
 agent — and every test here must stay green whether or not the compiled
@@ -11,7 +11,7 @@ provider (the bundled C extension) actually builds.
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import available_backends
+import repro.geometry.neighbors as neighbors
 from repro.kernels import (
     KERNEL_NAMES,
     KERNEL_TIERS,
@@ -59,11 +59,6 @@ class TestRegistry:
         backends = available_kernel_backends()
         assert backends[-1] == "numpy"
         assert len(backends) == len(set(backends))
-
-    def test_geometry_registry_exposes_kernel_backends(self):
-        assert available_backends(kind="kernels") == available_kernel_backends()
-        # The default kind still answers for the neighbor subsystem.
-        assert "grid" in available_backends()
 
     def test_escape_hatch_forces_numpy(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CEXT", "1")
@@ -387,9 +382,13 @@ class TestEndToEndParity:
         assert compiled == reference
 
     @needs_provider
-    @pytest.mark.parametrize("backend", ["auto"] + available_backends())
-    def test_tier_is_invisible_across_neighbor_strategies(self, backend):
-        base = standard_config(70, seed=7, engine="batch", backend=backend)
+    @pytest.mark.parametrize("candidates", ["default", "grid"])
+    def test_tier_is_invisible_across_candidate_indexes(self, candidates, monkeypatch):
+        """The numpy tier's candidate search runs on the KD-tree when scipy
+        imports and on the bucket grid otherwise; both match compiled."""
+        if candidates == "grid":
+            monkeypatch.setattr(neighbors, "_KDTREE_PROBE", False)
+        base = standard_config(70, seed=7, engine="batch")
         assert fingerprints(base.with_options(kernels="compiled")) == fingerprints(
             base.with_options(kernels="numpy")
         )

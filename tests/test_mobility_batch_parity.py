@@ -5,7 +5,7 @@ PR 5's core invariant: every model in ``BATCH_MOBILITY_REGISTRY`` advances
 — same initial state (stationary / Palm / uniform sampling included), same
 trajectories, same per-replica RNG streams — and the batch engine built on
 top of them returns exactly the scalar engine's trial results across
-models, inits, backends and engines.  Since PR 9 that includes the transit
+models, inits, kernel tiers and engines.  Since PR 9 that includes the transit
 family (ferry / composite / timetable): every registered name is
 batch-native.  A user-registered scalar model without a batch twin runs
 on the scalar engine only: the batch engine refuses it at config time.
@@ -14,7 +14,7 @@ on the scalar engine only: the batch engine refuses it at config time.
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import available_backends
+from repro.kernels import kernel_backend
 from repro.mobility import (
     BATCH_MOBILITY_REGISTRY,
     MODEL_REGISTRY,
@@ -28,6 +28,7 @@ from repro.simulation.config import _MOBILITY_OPTION_KEYS, FloodingConfig, stand
 from repro.simulation.runner import build_model, run_trials
 
 B = 4
+TIERS = ("numpy", "compiled") if kernel_backend() is not None else ("numpy",)
 N = 50
 SIDE = 9.0
 RADIUS = 1.6
@@ -173,19 +174,19 @@ class TestEngineLevelParity:
         batch = result_fingerprint(run_trials(config, 3))
         assert scalar == batch
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernels", TIERS)
     @pytest.mark.parametrize(
         "name", ["mrwp-pause", "mrwp-speed", "random-direction"]
     )
-    def test_new_models_match_across_backends(self, name, backend):
+    def test_new_models_match_across_tiers(self, name, kernels):
         options = {"v_min": 0.3, "v_max": 1.1} if name == "mrwp-speed" else {}
-        config = mobility_config(name, options, backend=backend)
+        config = mobility_config(name, options, kernels=kernels)
         reference = None
         for engine in ("scalar", "batch"):
             got = result_fingerprint(run_trials(config.with_options(engine=engine), 3))
             if reference is None:
                 reference = got
-            assert got == reference, (name, backend, engine)
+            assert got == reference, (name, kernels, engine)
 
     def test_batch_is_the_default_engine_for_native_models(self):
         for name, options, _inits in MODEL_GRID:
@@ -194,7 +195,7 @@ class TestEngineLevelParity:
 
 #: The PR 9 acceptance sweep: {timetable, ferry, composite} — each config
 #: must produce bit-identical positions and informed-counts across every
-#: backend and engine.
+#: kernel tier and engine.
 TRANSIT_CASES = [
     ("ferry", {"inset": 1.9}),
     ("composite", {"ferries": 3}),
@@ -217,14 +218,14 @@ class TestTransitFamilyNative:
         assert type(model) is native[name]
         assert model.batch_size == B
 
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("kernels", TIERS)
     @pytest.mark.parametrize("name,options", TRANSIT_CASES)
-    def test_bit_identical_across_backends_and_engines(self, name, options, backend):
-        """The acceptance sweep: {transit model} x {backend} x {engine}."""
-        config = mobility_config(name, options, max_steps=120, backend=backend)
+    def test_bit_identical_across_tiers_and_engines(self, name, options, kernels):
+        """The acceptance sweep: {transit model} x {kernel tier} x {engine}."""
+        config = mobility_config(name, options, max_steps=120, kernels=kernels)
         reference = result_fingerprint(run_trials(config.with_options(engine="scalar"), 3))
         got = result_fingerprint(run_trials(config.with_options(engine="batch"), 3))
-        assert got == reference, (name, backend)
+        assert got == reference, (name, kernels)
 
 
 class TestScalarOnlyModels:

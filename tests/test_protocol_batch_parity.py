@@ -4,7 +4,7 @@ PR 3's contract: any protocol in ``PROTOCOL_REGISTRY`` runs under
 ``engine="batch"`` and reproduces the scalar reference trial-for-trial —
 flooding times, coverage curves, stall flags, per-agent informed steps,
 and the protocol-specific extras (crashed/recovered counts, zone-resolved
-misses).  The sweep covers every protocol x neighbor backend x mobility
+misses).  The sweep covers every protocol x kernel tier x mobility
 model, and the retirement semantics that only the non-flooding protocols
 exercise: parsimonious window-close, SIR die-out before coverage, and
 crash-fault completion over survivors only.
@@ -15,6 +15,8 @@ import math
 import numpy as np
 import pytest
 
+import repro.geometry.neighbors as neighbors
+from repro.kernels import kernel_backend
 from repro.protocols import BATCH_PROTOCOL_REGISTRY, PROTOCOL_REGISTRY
 from repro.simulation import run_trials, standard_config
 
@@ -30,18 +32,12 @@ PROTOCOL_OPTIONS = {
     "crash-flooding": {"crash_prob": 0.01},
 }
 
-BACKENDS = ["grid", "brute"]
-try:  # pragma: no cover - depends on environment
-    import scipy.spatial  # noqa: F401
-
-    BACKENDS.insert(0, "kdtree")
-except ImportError:
-    pass
+TIERS = ("numpy", "compiled") if kernel_backend() is not None else ("numpy",)
 
 
 def fingerprint(result):
     extras = tuple(
-        sorted((k, v) for k, v in result.extras.items() if k not in ("config", "n_agents"))
+        sorted((k, v) for k, v in result.extras.items() if k not in ("config", "n_agents", "kernel_tier"))
     )
     return (
         result.flooding_time,
@@ -73,17 +69,17 @@ class TestRegistryCoverage:
 
 
 class TestProtocolParity:
-    """Every protocol x backend, and every protocol x mobility model."""
+    """Every protocol x kernel tier, and every protocol x mobility model."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kernels", TIERS)
     @pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
-    def test_parity_across_backends(self, protocol, backend):
+    def test_parity_across_tiers(self, protocol, kernels):
         config = standard_config(
             80,
             seed=37,
             protocol=protocol,
             protocol_options=dict(PROTOCOL_OPTIONS[protocol]),
-            backend=backend,
+            kernels=kernels,
             max_steps=400,
         )
         assert_parity(config)
@@ -123,21 +119,28 @@ class TestProtocolParity:
         sliced = [fingerprint(r) for r in run_trials(config.with_options(batch_size=2), 6)]
         assert whole == sliced
 
-    def test_backend_independent_trajectories_for_randomized_protocols(self):
-        """Canonical pair ordering: gossip/push-pull trajectories no longer
-        depend on the neighbor backend's pair traversal order."""
+    def test_contact_order_independent_trajectories_for_randomized_protocols(
+        self, monkeypatch
+    ):
+        """Canonical pair ordering: gossip/push-pull trajectories do not
+        depend on the order in which the compiled kernels, the KD-tree or
+        the bucket grid enumerate contacts."""
+        runs = [(kernels, None) for kernels in TIERS] + [("numpy", False)]
         for protocol in ("gossip", "push-pull"):
             reference = None
-            for backend in BACKENDS:
+            for kernels, probe in runs:
+                if probe is not None:  # bucket-grid candidates, as without scipy
+                    monkeypatch.setattr(neighbors, "_KDTREE_PROBE", probe)
                 config = standard_config(
                     70, seed=53, protocol=protocol,
                     protocol_options=dict(PROTOCOL_OPTIONS[protocol]),
-                    backend=backend, max_steps=400,
+                    kernels=kernels, max_steps=400,
                 )
                 got = [fingerprint(r) for r in run_trials(config, 3)]
                 if reference is None:
                     reference = got
-                assert got == reference, (protocol, backend)
+                assert got == reference, (protocol, kernels, probe)
+            monkeypatch.undo()
 
 
 class TestRetirementSemantics:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.geometry.neighbors import BatchNeighborQuery, available_backends, make_engine
+import repro.geometry.neighbors as neighbors
+from repro.geometry.neighbors import BatchNeighborQuery, BruteForceNeighborEngine
+from repro.kernels import kernel_backend, use_kernel_tier
 from repro.mobility import (
     MODEL_REGISTRY,
     BatchManhattanRandomWaypoint,
@@ -62,7 +64,7 @@ class TestSeedForSeedParity:
             {"init": "closed-form"},
             {"source": "central"},
             {"source": "suburb"},
-            {"backend": "grid"},
+            {"kernels": "numpy"},
             {"track_zones": False},
         ],
     )
@@ -212,7 +214,27 @@ class TestBatchMobility:
 
 
 class TestBatchNeighborQuery:
-    """Tiled / cell-cover batched queries vs per-replica scalar engines."""
+    """Every stage of the batched queries vs a per-replica brute force."""
+
+    #: cover: the numpy tier's cell cover (any_within only); candidates:
+    #: the tiled candidate search, on the KD-tree when scipy imports and on
+    #: the bucket grid as without scipy; compiled: the C kernels.
+    PATHS = ["cover", "candidates", "grid-candidates", "compiled"]
+
+    @pytest.fixture
+    def path(self, request, monkeypatch):
+        name = request.param
+        if name != "cover":
+            monkeypatch.setattr(BatchNeighborQuery, "_MAX_COVER_CELLS", 0)
+        if name == "grid-candidates":
+            monkeypatch.setattr(neighbors, "_KDTREE_PROBE", False)
+        if name == "compiled":
+            if kernel_backend() is None:
+                pytest.skip("no compiled provider")
+            with use_kernel_tier("compiled"):
+                yield name
+        else:
+            yield name
 
     @pytest.fixture
     def workload(self):
@@ -223,27 +245,27 @@ class TestBatchNeighborQuery:
         query_mask = ~source_mask & (rng.uniform(size=(batch, n)) < 0.8)
         return positions, source_mask, query_mask, side, radius
 
-    @pytest.mark.parametrize("backend", ["cells", "auto", *available_backends()])
-    def test_any_within_matches_scalar_engines(self, workload, backend):
+    @pytest.mark.parametrize("path", PATHS, indirect=True)
+    def test_any_within_matches_scalar_engines(self, workload, path):
         positions, source_mask, query_mask, side, radius = workload
         batch = positions.shape[0]
-        query = BatchNeighborQuery(side, batch, backend=backend)
+        query = BatchNeighborQuery(side, batch)
         got = query.any_within(positions, source_mask, query_mask, radius)
-        reference = make_engine("brute", side)
+        reference = BruteForceNeighborEngine(side)
         for b in range(batch):
             expected = np.zeros(positions.shape[1], dtype=bool)
             expected[query_mask[b]] = reference.any_within(
                 positions[b][source_mask[b]], positions[b][query_mask[b]], radius
             )
-            assert np.array_equal(got[b], expected), f"replica {b} backend {backend}"
+            assert np.array_equal(got[b], expected), f"replica {b} path {path}"
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_count_within_matches_scalar_engines(self, workload, backend):
+    @pytest.mark.parametrize("path", PATHS[1:], indirect=True)
+    def test_count_within_matches_scalar_engines(self, workload, path):
         positions, source_mask, query_mask, side, radius = workload
         batch = positions.shape[0]
-        query = BatchNeighborQuery(side, batch, backend=backend)
+        query = BatchNeighborQuery(side, batch)
         got = query.count_within(positions, source_mask, query_mask, radius)
-        reference = make_engine("brute", side)
+        reference = BruteForceNeighborEngine(side)
         for b in range(batch):
             expected = np.zeros(positions.shape[1], dtype=np.intp)
             expected[query_mask[b]] = reference.count_within(
@@ -257,14 +279,14 @@ class TestBatchNeighborQuery:
         positions[1] = positions[0]  # identical coordinates across replicas
         source_mask = np.array([[True, False, False], [False, False, False]])
         query_mask = ~source_mask
-        query = BatchNeighborQuery(5.0, 2, backend="kdtree" if "kdtree" in available_backends() else "grid")
+        query = BatchNeighborQuery(5.0, 2)
         hits = query.any_within(positions, source_mask, query_mask, 1.0)
         assert hits[0, 1] and hits[0, 2]
         assert not hits[1].any()
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown neighbor backend"):
-            BatchNeighborQuery(5.0, 2, backend="nope")
+    def test_has_no_strategy_choice(self):
+        with pytest.raises(TypeError):
+            BatchNeighborQuery(5.0, 2, backend="grid")
 
     def test_flooding_state_single_step(self):
         positions = np.array(

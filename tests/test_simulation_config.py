@@ -34,6 +34,43 @@ class TestFloodingConfig:
         with pytest.raises(ValueError):
             FloodingConfig(**base)
 
+    def test_gossip_fanout_zero_fails_at_construction(self):
+        """The protocol's own check runs when the config is built, not
+        once trials start."""
+        with pytest.raises(ValueError, match="fanout must be at least 1"):
+            FloodingConfig(
+                n=100, side=10.0, radius=1.0, speed=0.1,
+                protocol="gossip", protocol_options={"fanout": 0},
+            )
+
+    def test_unknown_protocol_option_fails_at_construction(self):
+        with pytest.raises(ValueError, match=r"unknown protocol options for 'flooding': \['bogus'\]"):
+            FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1, protocol_options={"bogus": 1})
+
+    def test_negative_threshold_factor_fails_at_construction(self):
+        with pytest.raises(ValueError, match="threshold factor must be positive"):
+            FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1, threshold_factor=-1.0)
+
+    def test_every_protocol_accepts_its_documented_options(self):
+        from repro.protocols import PROTOCOL_REGISTRY, PROTOCOL_VALIDATORS
+
+        assert set(PROTOCOL_VALIDATORS) == set(PROTOCOL_REGISTRY)
+        options = {
+            "flooding": {"multi_hop": True},
+            "gossip": {"fanout": 2},
+            "push-pull": {},
+            "parsimonious": {"active_window": 3},
+            "probabilistic": {"p": 0.25},
+            "sir": {"recovery_prob": 0.2},
+            "crash-flooding": {"crash_prob": 0.05},
+        }
+        for protocol, opts in options.items():
+            config = FloodingConfig(
+                n=100, side=10.0, radius=1.0, speed=0.1,
+                protocol=protocol, protocol_options=opts,
+            )
+            assert config.protocol_options == opts
+
     def test_with_options(self):
         config = FloodingConfig(n=100, side=10.0, radius=1.0, speed=0.1)
         other = config.with_options(radius=2.0, seed=9)
