@@ -13,6 +13,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +42,7 @@ def grid_candidates():
 
 
 @st.composite
-def configs(draw):
-    mobility = draw(st.sampled_from(sorted(MODEL_REGISTRY)))
+def configs(draw, mobility, protocol):
     radius = draw(st.sampled_from(sorted(RADII)))
     options = {}
     if mobility == "ferry":
@@ -58,7 +58,7 @@ def configs(draw):
             speed=draw(st.sampled_from(SPEEDS)),
             mobility=mobility,
             mobility_options=options,
-            protocol=draw(st.sampled_from(sorted(PROTOCOL_REGISTRY))),
+            protocol=protocol,
             seed=draw(st.integers(0, 2**16)),
             max_steps=12,
             # Zone tracking at a tiny radius would need ~(L/R)^2 cells.
@@ -90,14 +90,17 @@ def fingerprint(results):
     ]
 
 
-@settings(max_examples=50, derandomize=True, deadline=None)
-@given(configs())
-def test_every_engine_and_tier_reproduces_the_scalar_reference(config):
-    reference = fingerprint(run_trials(config, 2))
+@pytest.mark.parametrize("protocol", sorted(PROTOCOL_REGISTRY))
+@pytest.mark.parametrize("mobility", sorted(MODEL_REGISTRY))
+@settings(max_examples=2, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_engine_and_tier_reproduces_the_scalar_reference(mobility, protocol, data):
+    config = data.draw(configs(mobility, protocol))
+    reference = fingerprint(run_trials(config, 1))
     for engine in ("scalar", "batch"):
         for kernels in TIERS:
             variant = config.with_options(engine=engine, kernels=kernels)
-            assert fingerprint(run_trials(variant, 2)) == reference, (engine, kernels)
+            assert fingerprint(run_trials(variant, 1)) == reference, (engine, kernels)
     with grid_candidates():
         variant = config.with_options(engine="batch")
-        assert fingerprint(run_trials(variant, 2)) == reference, "grid candidates"
+        assert fingerprint(run_trials(variant, 1)) == reference, "grid candidates"

@@ -12,6 +12,7 @@ with the exact predicate.  Every path must match
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -102,17 +103,17 @@ def brute(positions, sources, queries, radius):
     return hits, counts, contacts, pairs
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
-@given(snapshots())
-def test_batch_queries_match_brute_force(snapshot):
+@pytest.mark.parametrize("path", PATHS)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(snapshot=snapshots())
+def test_batch_queries_match_brute_force(path, snapshot):
     positions, sources, queries, radius = snapshot
     hits, counts, contacts, pairs = brute(positions, sources, queries, radius)
-    for path in PATHS:
-        with query_path(path):
-            bound = BatchNeighborQuery(SIDE, positions.shape[0]).bind(positions)
-            assert np.array_equal(bound.any_within(sources, queries, radius), hits), path
-            assert np.array_equal(bound.count_within(sources, queries, radius), counts), path
-            rep, s, q = bound.contacts_within(sources, queries, radius)
-            assert set(zip(rep.tolist(), s.tolist(), q.tolist())) == contacts, path
-            rep, i, j = bound.pairs_within(radius)
-            assert set(zip(rep.tolist(), i.tolist(), j.tolist())) == pairs, path
+    with query_path(path):
+        bound = BatchNeighborQuery(SIDE, positions.shape[0]).bind(positions)
+        assert np.array_equal(bound.any_within(sources, queries, radius), hits)
+        assert np.array_equal(bound.count_within(sources, queries, radius), counts)
+        rep, s, q = bound.contacts_within(sources, queries, radius)
+        assert set(zip(rep.tolist(), s.tolist(), q.tolist())) == contacts
+        rep, i, j = bound.pairs_within(radius)
+        assert set(zip(rep.tolist(), i.tolist(), j.tolist())) == pairs

@@ -5,7 +5,7 @@ PR 5's core invariant: every model in ``BATCH_MOBILITY_REGISTRY`` advances
 — same initial state (stationary / Palm / uniform sampling included), same
 trajectories, same per-replica RNG streams — and the batch engine built on
 top of them returns exactly the scalar engine's trial results across
-models, inits, kernel tiers and engines.  Since PR 9 that includes the transit
+models, inits, kernel tiers and engines.  That includes the transit
 family (ferry / composite / timetable): every registered name is
 batch-native.  A user-registered scalar model without a batch twin runs
 on the scalar engine only: the batch engine refuses it at config time.
